@@ -32,11 +32,17 @@
 //! nothing to iterate against), which pins the mode into the degenerate
 //! parity contract (`crates/coord/tests/rack_degenerate.rs`).
 //!
+//! Every bisection step (42 per zone re-bisection) is one steady-state
+//! probe of the whole rack. A probe evaluates one `powf` per fan wall and
+//! eliminates only the entries the rack's link structure can make nonzero
+//! (`gfsc_thermal::RcNetwork::steady_state_with_into`, bit for bit the
+//! dense solve), so its cost grows with the link count plus fill-in, not
+//! with the cube of the node count.
+//!
 //! All scratch (the target vector, the freeze marks) is sized once at
-//! [`RackEnergyDescent::bind`]; the probe path reuses the plant's
-//! scratch-buffered `steady_state_with_into` machinery, so the rack epoch
-//! loop stays allocation-free in this mode too
-//! (`tests/alloc_free_rack.rs`).
+//! [`RackEnergyDescent::bind`]; the probe path reuses the thread's probe
+//! buffers (`gfsc_thermal::ProbeScratch`), so the rack epoch loop stays
+//! allocation-free in this mode too (`tests/alloc_free_rack.rs`).
 
 use crate::{EnergyAwareCoordinator, ZoneEnergyCoordinator};
 use gfsc_obs::{EventKind, Recorder, Source};

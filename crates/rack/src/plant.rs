@@ -16,8 +16,8 @@
 use crate::{PlenumDef, RackTopology, ServerSlot};
 use gfsc_server::PlantModel;
 use gfsc_thermal::{
-    BoundaryId, FanZoneMap, LinkId, NetworkError, NodeId, PlantCalibration, RcNetwork,
-    RcNetworkBuilder, ZoneId,
+    bisect_min_safe_fan, BoundaryId, FanZoneMap, NetworkError, NodeId, PlantCalibration,
+    ProbeScratch, RcNetwork, RcNetworkBuilder, ZoneId,
 };
 use gfsc_units::{total_max, Celsius, JoulesPerKelvin, KelvinPerWatt, Rpm, Seconds, Watts};
 
@@ -31,18 +31,6 @@ struct SocketHandles {
     zone: usize,
     /// Flat server index.
     server: usize,
-}
-
-/// Reusable buffers behind the non-mutating steady-state probes, so the
-/// model-inversion bisections (40+ probes per decision) run without per-
-/// probe heap allocation — the rack epoch loop's allocation-free contract
-/// extends to the model-based controllers (`tests/alloc_free_rack.rs`).
-#[derive(Debug, Clone, Default)]
-struct ProbeScratch {
-    links: Vec<(LinkId, KelvinPerWatt)>,
-    powers: Vec<(NodeId, Watts)>,
-    matrix: Vec<f64>,
-    temps: Vec<f64>,
 }
 
 /// An N-server, multi-fan-zone thermal plant on the cached RC network.
@@ -85,11 +73,6 @@ pub struct RackPlant {
     /// The ambient boundary handle, resolved once at build time so
     /// `set_ambient` needs no name lookup (and no panic path).
     ambient_boundary: BoundaryId,
-    /// Shared probe buffers (interior mutability: probes are logically
-    /// `&self` — they never touch the live network state).
-    probe: core::cell::RefCell<ProbeScratch>,
-    /// Per-zone fan scratch for the min-safe bisection.
-    probe_fans: core::cell::RefCell<Vec<Rpm>>,
 }
 
 impl RackPlant {
@@ -246,8 +229,6 @@ impl RackPlant {
         let ambient_boundary = net
             .boundary_id("ambient")
             .ok_or_else(|| NetworkError::UnknownName("ambient".to_string()))?;
-        let nodes = net.node_names().len();
-        let links_cap = sockets.len() + zone_ids.len();
         Ok(Self {
             net,
             zones,
@@ -258,13 +239,6 @@ impl RackPlant {
             plenums,
             ambient: cal.ambient,
             ambient_boundary,
-            probe: core::cell::RefCell::new(ProbeScratch {
-                links: Vec::with_capacity(links_cap),
-                powers: Vec::with_capacity(nodes),
-                matrix: Vec::with_capacity(nodes * nodes),
-                temps: Vec::with_capacity(nodes),
-            }),
-            probe_fans: core::cell::RefCell::new(Vec::with_capacity(topology.zones().len())),
         })
     }
 
@@ -463,7 +437,7 @@ impl RackPlant {
     /// Panics if the slice lengths disagree with the topology.
     #[must_use]
     pub fn steady_state_junctions(&self, powers: &[Watts], fans: &[Rpm]) -> Vec<Celsius> {
-        self.probe_with(powers, fans, |plant, temps| {
+        self.probe_rack(powers, fans, |plant, temps| {
             plant.sockets.iter().map(|s| Celsius::new(temps[s.die.index()])).collect()
         })
     }
@@ -485,16 +459,7 @@ impl RackPlant {
         if self.zone_sockets[z].is_empty() {
             return self.ambient;
         }
-        self.probe_with(powers, fans, |plant, temps| {
-            let Some((&first, rest)) = plant.zone_sockets[z].split_first() else {
-                return plant.ambient;
-            };
-            let mut hottest = temps[plant.sockets[first].die.index()];
-            for &i in rest {
-                hottest = total_max(hottest, temps[plant.sockets[i].die.index()]);
-            }
-            Celsius::new(hottest)
-        })
+        self.probe_rack(powers, fans, |plant, temps| plant.hottest_probed(z, temps))
     }
 
     /// Non-mutating whole-rack probe at `(powers, fans)`: fills `out` with
@@ -517,26 +482,16 @@ impl RackPlant {
         out: &mut [Celsius],
     ) {
         assert_eq!(out.len(), self.zone_sockets.len(), "one output slot per zone");
-        self.probe_with(powers, fans, |plant, temps| {
+        self.probe_rack(powers, fans, |plant, temps| {
             for (z, slot) in out.iter_mut().enumerate() {
-                let sockets = &plant.zone_sockets[z];
-                let Some((&first, rest)) = sockets.split_first() else {
-                    *slot = plant.ambient;
-                    continue;
-                };
-                let mut hottest = temps[plant.sockets[first].die.index()];
-                for &i in rest {
-                    hottest = total_max(hottest, temps[plant.sockets[i].die.index()]);
-                }
-                *slot = Celsius::new(hottest);
+                *slot = plant.hottest_probed(z, temps);
             }
         });
     }
 
-    /// Runs one non-mutating steady-state probe at `(powers, fans)` in the
-    /// shared scratch and reduces the solved node temperatures —
-    /// allocation-free once the buffers are warm.
-    fn probe_with<R>(
+    /// [`RackPlant::probe_with`] with every zone's fan and every socket's
+    /// power overridden.
+    fn probe_rack<R>(
         &self,
         powers: &[Watts],
         fans: &[Rpm],
@@ -544,16 +499,47 @@ impl RackPlant {
     ) -> R {
         assert_eq!(powers.len(), self.sockets.len(), "one power per socket");
         assert_eq!(fans.len(), self.zone_ids.len(), "one fan speed per zone");
-        let mut scratch = self.probe.borrow_mut();
-        let ProbeScratch { links, powers: power_overrides, matrix, temps } = &mut *scratch;
-        links.clear();
-        for (&zone, &fan) in self.zone_ids.iter().zip(fans) {
-            self.zones.extend_overrides(zone, fan, links);
+        self.probe_with(
+            fans.iter().copied().enumerate(),
+            powers.iter().copied().enumerate(),
+            reduce,
+        )
+    }
+
+    /// Runs one non-mutating steady-state probe in the thread's probe
+    /// scratch ([`ProbeScratch::with_thread_local`]) and reduces the solved
+    /// node temperatures — allocation-free once the buffers are warm, so
+    /// the model-inversion bisections (42 probes per decision) keep the
+    /// rack epoch loop's allocation-free contract
+    /// (`tests/alloc_free_rack.rs`). Each probe costs one pattern
+    /// steady-state solve plus one `powf` per overridden zone fan. `fans` overrides `(zone, speed)` pairs, `powers`
+    /// `(flat socket, power)` pairs; everything else keeps its live value.
+    fn probe_with<R>(
+        &self,
+        fans: impl IntoIterator<Item = (usize, Rpm)>,
+        powers: impl IntoIterator<Item = (usize, Watts)>,
+        reduce: impl FnOnce(&Self, &[f64]) -> R,
+    ) -> R {
+        ProbeScratch::with_thread_local(|scratch| {
+            for (z, fan) in fans {
+                self.zones.extend_overrides(self.zone_ids[z], fan, &mut scratch.links);
+            }
+            scratch.powers.extend(powers.into_iter().map(|(i, p)| (self.sockets[i].die, p)));
+            reduce(self, scratch.solve(&self.net))
+        })
+    }
+
+    /// The hottest probed junction among zone `z`'s sockets in `temps`
+    /// (node-indexed), or the ambient for a slotless zone.
+    fn hottest_probed(&self, z: usize, temps: &[f64]) -> Celsius {
+        let Some((&first, rest)) = self.zone_sockets[z].split_first() else {
+            return self.ambient;
+        };
+        let mut hottest = temps[self.sockets[first].die.index()];
+        for &i in rest {
+            hottest = total_max(hottest, temps[self.sockets[i].die.index()]);
         }
-        power_overrides.clear();
-        power_overrides.extend(self.sockets.iter().zip(powers).map(|(s, &p)| (s.die, p)));
-        self.net.steady_state_with_into(links, power_overrides, matrix, temps);
-        reduce(self, temps)
+        Celsius::new(hottest)
     }
 
     /// The minimum fan speed for zone `z` keeping every steady-state
@@ -563,9 +549,9 @@ impl RackPlant {
     /// A slotless zone has nothing to guard: any speed is safe, so the
     /// answer is 0 rpm.
     ///
-    /// Deterministic bisection over the monotone zone-hottest curve, like
-    /// the multi-socket plant's inversion. Allocation-free once the probe
-    /// scratch is warm.
+    /// Deterministic bisection over the monotone zone-hottest curve
+    /// ([`bisect_min_safe_fan`]), like the multi-socket plant's inversion.
+    /// Allocation-free once the probe scratch is warm.
     ///
     /// # Panics
     ///
@@ -584,33 +570,12 @@ impl RackPlant {
         if self.zone_sockets[z].is_empty() {
             return Some(Rpm::new(0.0));
         }
-        let mut probe_fans = self.probe_fans.borrow_mut();
-        probe_fans.clear();
-        probe_fans.extend_from_slice(fans);
-        let at = |v: f64, probe_fans: &mut [Rpm]| {
-            probe_fans[z] = Rpm::new(v);
-            self.steady_state_hottest_in_zone(z, powers, probe_fans)
-        };
-        // Same bracket rationale as MultiSocketPlant::min_safe_fan_speed:
-        // the law saturates below 100 rpm, 1e6 rpm is indistinguishable
-        // from infinite airflow, 40 halvings out-resolve any actuator.
-        let (lo, hi) = (100.0, 1e6);
-        if at(lo, &mut probe_fans) <= limit {
-            return Some(Rpm::new(0.0));
-        }
-        if at(hi, &mut probe_fans) > limit {
-            return None;
-        }
-        let (mut lo, mut hi) = (lo, hi);
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            if at(mid, &mut probe_fans) > limit {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(Rpm::new(hi))
+        bisect_min_safe_fan(limit, |v| {
+            let fans = fans.iter().enumerate().map(|(i, &fan)| (i, if i == z { v } else { fan }));
+            self.probe_with(fans, powers.iter().copied().enumerate(), |plant, temps| {
+                plant.hottest_probed(z, temps)
+            })
+        })
     }
 
     /// Snaps the whole rack (dies, sinks, chassis, plenums) to its
@@ -670,27 +635,14 @@ impl ZonePlant<'_> {
     /// for a slotless zone.
     fn zone_steady_state(&self, powers: &[Watts], fan: Rpm) -> Celsius {
         assert_eq!(powers.len(), self.socket_count(), "one power per zone socket");
-        let sockets = &self.rack.zone_sockets[self.zone];
-        if sockets.is_empty() {
-            return self.rack.ambient;
+        let (rack, z) = (&*self.rack, self.zone);
+        if rack.zone_sockets[z].is_empty() {
+            return rack.ambient;
         }
-        let mut scratch = self.rack.probe.borrow_mut();
-        let ProbeScratch { links, powers: power_overrides, matrix, temps } = &mut *scratch;
-        links.clear();
-        self.rack.zones.extend_overrides(self.rack.zone_ids[self.zone], fan, links);
-        power_overrides.clear();
-        power_overrides.extend(
-            powers.iter().enumerate().map(|(i, &p)| (self.rack.sockets[self.flat(i)].die, p)),
-        );
-        self.rack.net.steady_state_with_into(links, power_overrides, matrix, temps);
-        let Some((&first, rest)) = sockets.split_first() else {
-            return self.rack.ambient;
-        };
-        let mut hottest = temps[self.rack.sockets[first].die.index()];
-        for &i in rest {
-            hottest = total_max(hottest, temps[self.rack.sockets[i].die.index()]);
-        }
-        Celsius::new(hottest)
+        let sockets = rack.zone_sockets[z].iter().copied();
+        rack.probe_with([(z, fan)], sockets.zip(powers.iter().copied()), |plant, temps| {
+            plant.hottest_probed(z, temps)
+        })
     }
 }
 
@@ -726,23 +678,7 @@ impl PlantModel for ZonePlant<'_> {
         if self.socket_count() == 0 {
             return Some(Rpm::new(0.0));
         }
-        let (lo, hi) = (100.0, 1e6);
-        if self.zone_steady_state(powers, Rpm::new(lo)) <= limit {
-            return Some(Rpm::new(0.0));
-        }
-        if self.zone_steady_state(powers, Rpm::new(hi)) > limit {
-            return None;
-        }
-        let (mut lo, mut hi) = (lo, hi);
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            if self.zone_steady_state(powers, Rpm::new(mid)) > limit {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(Rpm::new(hi))
+        bisect_min_safe_fan(limit, |v| self.zone_steady_state(powers, v))
     }
 }
 

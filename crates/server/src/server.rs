@@ -1,6 +1,7 @@
 //! The assembled server plant.
 
 use crate::{FanActuator, ServerSpec, TempAggregation};
+use core::cell::RefCell;
 use gfsc_power::EnergyMeter;
 use gfsc_sensors::{AdcQuantizer, MeasurementPipeline, Rounding};
 use gfsc_thermal::{
@@ -240,6 +241,24 @@ impl Server {
         Watts::new(total)
     }
 
+    /// Runs `f` on the per-socket powers of server-wide demand `u`, filled
+    /// into a thread-local buffer: the model inversions run per decision
+    /// and stay allocation-free, while the server stays `Sync` (parallel
+    /// gain tuning shares one across threads), so it cannot own the
+    /// buffer.
+    fn with_socket_powers<R>(&self, u: Utilization, f: impl FnOnce(&[Watts]) -> R) -> R {
+        thread_local! {
+            static POWERS: RefCell<Vec<Watts>> = const { RefCell::new(Vec::new()) };
+        }
+        POWERS.with(|cell| {
+            let mut powers = cell.borrow_mut();
+            powers.clear();
+            powers.resize(self.plant.socket_count(), Watts::new(0.0));
+            Self::fill_socket_powers(&self.spec, u, &mut powers);
+            f(&powers)
+        })
+    }
+
     /// The per-socket base calibration the spec implies.
     fn calibration(spec: &ServerSpec) -> PlantCalibration {
         PlantCalibration {
@@ -412,9 +431,7 @@ impl Server {
             // power evaluation, then the analytic inversion.
             Plant::TwoNode(m) => m.min_safe_fan_speed(self.spec.cpu_power.power(demand), limit),
             Plant::Network(p) => {
-                let mut powers = vec![Watts::new(0.0); p.socket_count()];
-                Self::fill_socket_powers(&self.spec, demand, &mut powers);
-                p.min_safe_fan_speed(&powers, limit)
+                self.with_socket_powers(demand, |powers| p.min_safe_fan_speed(powers, limit))
             }
         }
     }
@@ -426,9 +443,7 @@ impl Server {
         match &self.plant {
             Plant::TwoNode(m) => m.steady_state_junction(self.spec.cpu_power.power(demand), fan),
             Plant::Network(p) => {
-                let mut powers = vec![Watts::new(0.0); p.socket_count()];
-                Self::fill_socket_powers(&self.spec, demand, &mut powers);
-                p.steady_state_hottest(&powers, fan)
+                self.with_socket_powers(demand, |powers| p.steady_state_hottest(powers, fan))
             }
         }
     }

@@ -58,8 +58,27 @@ impl HeatSinkLaw {
     /// diverges as `V → 0` while a real heat sink still conducts passively.
     #[must_use]
     pub fn resistance(&self, v: Rpm) -> KelvinPerWatt {
-        let v = v.value().max(self.min_speed);
-        KelvinPerWatt::new(self.base + self.coeff / v.powf(self.exponent))
+        self.resistance_from_airflow_term(self.airflow_term(v))
+    }
+
+    /// `V^exponent` at the clamped speed: the `powf` half of
+    /// [`HeatSinkLaw::resistance`], shared by every law on the same
+    /// airflow curve ([`HeatSinkLaw::same_airflow_curve`]).
+    pub(crate) fn airflow_term(&self, v: Rpm) -> f64 {
+        v.value().max(self.min_speed).powf(self.exponent)
+    }
+
+    /// The resistance from a precomputed [`HeatSinkLaw::airflow_term`] —
+    /// bit for bit [`HeatSinkLaw::resistance`] at the same speed.
+    pub(crate) fn resistance_from_airflow_term(&self, term: f64) -> KelvinPerWatt {
+        KelvinPerWatt::new(self.base + self.coeff / term)
+    }
+
+    /// Whether `other` computes the same [`HeatSinkLaw::airflow_term`] at
+    /// every speed (same exponent and speed floor; the laws a
+    /// [`HeatSinkLaw::with_airflow_derate`] chain produces all do).
+    pub(crate) fn same_airflow_curve(&self, other: &Self) -> bool {
+        self.exponent == other.exponent && self.min_speed == other.min_speed
     }
 
     /// Inverts the law: the fan speed at which the resistance equals `r`.

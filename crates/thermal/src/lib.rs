@@ -57,8 +57,11 @@ mod zone;
 pub use batch::BatchRcNetwork;
 pub use die::DieNode;
 pub use heatsink::{HeatSinkLaw, HeatSinkNode};
-pub use multi_socket::{MultiSocketPlant, PlantCalibration};
-pub use network::{BoundaryId, LinkId, NetworkError, NodeId, RcNetwork, RcNetworkBuilder};
+pub use multi_socket::{bisect_min_safe_fan, MultiSocketPlant, PlantCalibration};
+pub use network::{
+    BoundaryId, LinkId, NetworkError, NodeId, ProbeScratch, RcNetwork, RcNetworkBuilder,
+    SolveBuffers,
+};
 pub use server_model::ServerThermalModel;
 pub use topology::{ChassisDef, SocketDef, Topology};
 pub use zone::{FanZoneMap, ZoneId};

@@ -9,8 +9,8 @@
 //! cache makes N-node stepping as cheap as the hand-rolled pair.
 
 use crate::{
-    BoundaryId, FanZoneMap, HeatSinkLaw, LinkId, NetworkError, NodeId, RcNetwork, RcNetworkBuilder,
-    Topology, ZoneId,
+    BoundaryId, FanZoneMap, HeatSinkLaw, NetworkError, NodeId, ProbeScratch, RcNetwork,
+    RcNetworkBuilder, Topology, ZoneId,
 };
 use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Rpm, Seconds, Watts};
 
@@ -297,38 +297,44 @@ impl MultiSocketPlant {
     /// Panics if `powers.len()` differs from the socket count.
     #[must_use]
     pub fn steady_state_junctions(&self, powers: &[Watts], fan: Rpm) -> Vec<Celsius> {
-        let temps = self.probe(powers, fan);
-        self.sockets.iter().map(|s| temps[s.die_index()]).collect()
+        self.probe(powers, fan, |temps| {
+            self.sockets.iter().map(|s| Celsius::new(temps[s.die.index()])).collect()
+        })
     }
 
     /// The hottest steady-state junction at `(powers, fan)`.
+    /// Allocation-free once the probe scratch is warm.
     ///
     /// # Panics
     ///
     /// Panics if `powers.len()` differs from the socket count.
     #[must_use]
     pub fn steady_state_hottest(&self, powers: &[Watts], fan: Rpm) -> Celsius {
-        let temps = self.probe(powers, fan);
-        let Some((first, rest)) = self.sockets.split_first() else {
-            // A socketless topology cannot compile; ambient is the honest
-            // "nothing to scan" answer rather than an index panic.
-            return self.ambient;
-        };
-        let mut hottest = temps[first.die_index()];
-        for s in rest {
-            hottest = hottest.hotter(temps[s.die_index()]);
-        }
-        hottest
+        self.probe(powers, fan, |temps| {
+            let Some((first, rest)) = self.sockets.split_first() else {
+                // A socketless topology cannot compile; ambient is the
+                // honest "nothing to scan" answer rather than an index
+                // panic.
+                return self.ambient;
+            };
+            let mut hottest = Celsius::new(temps[first.die.index()]);
+            for s in rest {
+                hottest = hottest.hotter(Celsius::new(temps[s.die.index()]));
+            }
+            hottest
+        })
     }
 
-    /// Non-mutating steady-state probe at a hypothetical operating point.
-    fn probe(&self, powers: &[Watts], fan: Rpm) -> Vec<Celsius> {
+    /// Runs one non-mutating steady-state probe at a hypothetical operating
+    /// point in the thread's probe scratch and reduces the solved node
+    /// temperatures — allocation-free once the scratch is warm.
+    fn probe<R>(&self, powers: &[Watts], fan: Rpm, reduce: impl FnOnce(&[f64]) -> R) -> R {
         assert_eq!(powers.len(), self.sockets.len(), "one power per socket");
-        let mut link_overrides: Vec<(LinkId, KelvinPerWatt)> = Vec::new();
-        self.zones.extend_overrides(self.zone, fan, &mut link_overrides);
-        let power_overrides: Vec<(NodeId, Watts)> =
-            self.sockets.iter().zip(powers).map(|(s, &p)| (s.die, p)).collect();
-        self.net.steady_state_with(&link_overrides, &power_overrides)
+        ProbeScratch::with_thread_local(|scratch| {
+            self.zones.extend_overrides(self.zone, fan, &mut scratch.links);
+            scratch.powers.extend(self.sockets.iter().zip(powers).map(|(s, &p)| (s.die, p)));
+            reduce(scratch.solve(&self.net))
+        })
     }
 
     /// The minimum fan speed keeping every steady-state junction at or
@@ -338,7 +344,8 @@ impl MultiSocketPlant {
     /// The two-node model inverts its law analytically; an N-socket plant
     /// with chassis coupling has no closed form, so this bisects the
     /// monotone hottest-junction curve over the steady-state probe
-    /// (deterministic: fixed bracket, fixed iteration count).
+    /// ([`bisect_min_safe_fan`]). Allocation-free once the probe scratch
+    /// is warm.
     ///
     /// # Panics
     ///
@@ -348,29 +355,7 @@ impl MultiSocketPlant {
         if powers.iter().all(|p| p.value() <= 0.0) {
             return Some(Rpm::new(0.0));
         }
-        // The law saturates below 100 rpm, so v = 100 is the stopped-fan
-        // envelope; 1e6 rpm is numerically indistinguishable from the
-        // infinite-airflow asymptote.
-        let (lo, hi) = (100.0, 1e6);
-        if self.steady_state_hottest(powers, Rpm::new(lo)) <= limit {
-            return Some(Rpm::new(0.0));
-        }
-        if self.steady_state_hottest(powers, Rpm::new(hi)) > limit {
-            return None;
-        }
-        // 40 halvings take the 1e6-wide bracket to ~1e-6 rpm — far past
-        // any fan actuator's resolution; more iterations cannot change the
-        // commanded speed and each costs a dense steady-state solve.
-        let (mut lo, mut hi) = (lo, hi);
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            if self.steady_state_hottest(powers, Rpm::new(mid)) > limit {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(Rpm::new(hi))
+        bisect_min_safe_fan(limit, |v| self.steady_state_hottest(powers, v))
     }
 
     /// Snaps the whole network (dies, sinks, chassis) to its equilibrium at
@@ -403,11 +388,38 @@ impl MultiSocketPlant {
     }
 }
 
-impl SocketHandles {
-    /// The die node's index into the network's node-ordered vectors.
-    fn die_index(&self) -> usize {
-        self.die.index()
+/// The lowest fan speed at which `hottest_at` (a monotone steady-state
+/// hottest-junction curve) stays at or below `limit`: 0 rpm if even a
+/// stopped fan suffices, `None` if even unbounded airflow cannot.
+///
+/// Deterministic: fixed bracket, fixed iteration count, so 42 probes per
+/// call. The law saturates below 100 rpm, so v = 100 is the stopped-fan
+/// envelope; 1e6 rpm is numerically indistinguishable from the
+/// infinite-airflow asymptote. 40 halvings take the 1e6-wide bracket to
+/// ~1e-6 rpm, far past any fan actuator's resolution, so more iterations
+/// could not change the commanded speed. Each probe is one pattern
+/// steady-state solve ([`crate::RcNetwork::steady_state_with_into`]).
+pub fn bisect_min_safe_fan(
+    limit: Celsius,
+    mut hottest_at: impl FnMut(Rpm) -> Celsius,
+) -> Option<Rpm> {
+    let (lo, hi) = (100.0, 1e6);
+    if hottest_at(Rpm::new(lo)) <= limit {
+        return Some(Rpm::new(0.0));
     }
+    if hottest_at(Rpm::new(hi)) > limit {
+        return None;
+    }
+    let (mut lo, mut hi) = (lo, hi);
+    for _ in 0..40 {
+        let mid = 0.5 * (lo + hi);
+        if hottest_at(Rpm::new(mid)) > limit {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(Rpm::new(hi))
 }
 
 #[cfg(test)]

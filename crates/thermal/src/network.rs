@@ -8,6 +8,7 @@
 //! so stiff networks (0.1 s die next to a 60 s sink) can be stepped at the
 //! controller rate without blowing up.
 
+use core::cell::RefCell;
 use core::fmt;
 use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Seconds, Watts};
 
@@ -253,6 +254,7 @@ impl RcNetworkBuilder {
             return Err(NetworkError::FloatingNode(self.node_names[i].clone()));
         }
 
+        let pattern = SolvePattern::new(n, &links);
         Ok(RcNetwork {
             node_names: self.node_names,
             capacitances: self.capacitances,
@@ -261,6 +263,7 @@ impl RcNetworkBuilder {
             boundary_names: self.boundary_names,
             boundary_temps: self.boundary_temps,
             links,
+            pattern,
             factor: vec![0.0; n * n],
             pivots: vec![0; n],
             factored_dt: f64::NAN,
@@ -292,6 +295,9 @@ pub struct RcNetwork {
     boundary_names: Vec<String>,
     boundary_temps: Vec<f64>,
     links: Vec<Link>,
+    /// Where the steady-state elimination can create nonzeros, fixed by
+    /// the link table at build time (see [`SolvePattern`]).
+    pattern: SolvePattern,
     /// LU factors of `C/dt + G` (unit-lower multipliers below the
     /// diagonal, upper triangle above), row-major `n × n`.
     factor: Vec<f64>,
@@ -598,56 +604,103 @@ impl RcNetwork {
     /// This is the probe behind model inversions that ask "what would the
     /// equilibrium be at fan speed `v` / power `p`?" (e.g. the multi-socket
     /// `min_safe_fan_speed` bisection) while the transient simulation keeps
-    /// running undisturbed.
+    /// running undisturbed. When a link is overridden more than once, the
+    /// first override wins; for a node power, the last one does.
     ///
     /// # Panics
     ///
-    /// Panics if an override handle does not belong to this network.
+    /// Panics if a power override handle does not belong to this network.
     #[must_use]
     pub fn steady_state_with(
         &self,
         link_overrides: &[(LinkId, KelvinPerWatt)],
         power_overrides: &[(NodeId, Watts)],
     ) -> Vec<Celsius> {
-        let mut matrix = Vec::new();
-        let mut temps = Vec::new();
-        self.steady_state_with_into(link_overrides, power_overrides, &mut matrix, &mut temps);
-        temps.into_iter().map(Celsius::new).collect()
+        let mut buffers = SolveBuffers::default();
+        self.steady_state_with_into(link_overrides, power_overrides, &mut buffers)
+            .iter()
+            .map(|&t| Celsius::new(t))
+            .collect()
     }
 
-    /// [`RcNetwork::steady_state_with`] writing into caller-provided
-    /// buffers: `matrix` holds the assembled `n × n` system, `out` the
-    /// solved temperatures (indexed by [`NodeId::index`]). With warm
-    /// buffers the probe performs **zero** heap allocations — the variant
-    /// model-inversion bisections (40+ probes per decision) run on.
+    /// [`RcNetwork::steady_state_with`] in caller-provided buffers,
+    /// returning the solved temperatures (indexed by [`NodeId::index`]).
+    /// With warm buffers the probe performs **zero** heap allocations —
+    /// the variant model-inversion bisections (42 probes per decision) run
+    /// on.
+    ///
+    /// The solve eliminates only the entries the network's link structure
+    /// can make nonzero ([`SolvePattern`], computed once at build): a probe
+    /// costs on the order of the link count plus fill-in, not `n³`. It
+    /// replays the dense solve's arithmetic in the same order on those
+    /// entries, so its output is bit-for-bit that of
+    /// [`RcNetwork::steady_state_with_dense`]; should partial pivoting
+    /// ever want a row swap, the solve finishes on the dense path.
     ///
     /// # Panics
     ///
-    /// Panics if an override handle does not belong to this network.
-    pub fn steady_state_with_into(
+    /// Panics if a power override handle does not belong to this network.
+    pub fn steady_state_with_into<'b>(
         &self,
         link_overrides: &[(LinkId, KelvinPerWatt)],
         power_overrides: &[(NodeId, Watts)],
-        matrix: &mut Vec<f64>,
-        out: &mut Vec<f64>,
+        buffers: &'b mut SolveBuffers,
+    ) -> &'b [f64] {
+        self.assemble_steady_state(link_overrides, power_overrides, buffers);
+        let n = self.node_names.len();
+        solve_pattern(&self.pattern, &mut buffers.matrix, &mut buffers.temps, n);
+        &buffers.temps
+    }
+
+    /// The reference steady-state probe: [`RcNetwork::steady_state_with`]
+    /// solved by dense Gaussian elimination over the whole `n × n` system.
+    /// Kept public as the oracle for the pattern solve — the property
+    /// tests compare the two bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a power override handle does not belong to this network.
+    #[must_use]
+    pub fn steady_state_with_dense(
+        &self,
+        link_overrides: &[(LinkId, KelvinPerWatt)],
+        power_overrides: &[(NodeId, Watts)],
+    ) -> Vec<Celsius> {
+        let mut buffers = SolveBuffers::default();
+        self.assemble_steady_state(link_overrides, power_overrides, &mut buffers);
+        let n = self.node_names.len();
+        solve_dense(&mut buffers.matrix, &mut buffers.temps, n);
+        buffers.temps.iter().map(|&t| Celsius::new(t)).collect()
+    }
+
+    /// Assembles the steady-state system `G · T = P + G_b · T_b` under the
+    /// overrides: `G` into `buffers.matrix` (row-major `n × n`), the
+    /// right-hand side into `buffers.temps`.
+    fn assemble_steady_state(
+        &self,
+        link_overrides: &[(LinkId, KelvinPerWatt)],
+        power_overrides: &[(NodeId, Watts)],
+        buffers: &mut SolveBuffers,
     ) {
         let n = self.node_names.len();
-        let conductance = |idx: usize| -> f64 {
-            link_overrides
-                .iter()
-                .find(|(id, _)| id.0 == idx)
-                .map_or(self.links[idx].conductance, |(_, r)| 1.0 / r.value())
-        };
-        matrix.clear();
-        matrix.resize(n * n, 0.0);
-        out.clear();
-        out.extend_from_slice(&self.powers);
-        let (a, b) = (matrix, out);
+        let SolveBuffers { matrix: a, conductances, temps: b } = buffers;
+        conductances.clear();
+        conductances.extend(self.links.iter().map(|link| link.conductance));
+        // Applied last to first, so the first override of a link is the
+        // one that sticks. A handle from another network overrides nothing.
+        for (id, r) in link_overrides.iter().rev() {
+            if let Some(g) = conductances.get_mut(id.0) {
+                *g = 1.0 / r.value();
+            }
+        }
+        a.clear();
+        a.resize(n * n, 0.0);
+        b.clear();
+        b.extend_from_slice(&self.powers);
         for (id, p) in power_overrides {
             b[id.0] = p.value();
         }
-        for (idx, link) in self.links.iter().enumerate() {
-            let g = conductance(idx);
+        for (link, &g) in self.links.iter().zip(conductances.iter()) {
             match (link.a, link.b) {
                 (Endpoint::Node(i), Endpoint::Node(j)) => {
                     a[i * n + i] += g;
@@ -665,7 +718,6 @@ impl RcNetwork {
                 (Endpoint::Boundary(_), Endpoint::Boundary(_)) => {}
             }
         }
-        solve_dense(a, b, n);
     }
 
     // ---- crate-internal raw views for the batched stepper ----------------
@@ -834,12 +886,241 @@ fn lu_solve(a: &[f64], piv: &[usize], b: &mut [f64], n: usize) {
     }
 }
 
+/// Caller-owned buffers of [`RcNetwork::steady_state_with_into`]: the
+/// assembled system, the per-link conductances under the overrides, and
+/// the right-hand side the solve overwrites with temperatures.
+#[derive(Debug, Clone, Default)]
+pub struct SolveBuffers {
+    matrix: Vec<f64>,
+    conductances: Vec<f64>,
+    temps: Vec<f64>,
+}
+
+/// Everything one non-mutating steady-state probe needs: the override
+/// lists it is assembled from and the solver's buffers.
+///
+/// Plants borrow their thread's scratch per probe
+/// ([`ProbeScratch::with_thread_local`]) instead of owning one: a plant
+/// stays `Sync` (parallel gain tuning shares one plant across threads),
+/// and model-inversion bisections run without heap allocation once the
+/// thread's buffers have grown to the largest network probed.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeScratch {
+    /// Link-resistance overrides of the probe (first override of a link
+    /// wins).
+    pub links: Vec<(LinkId, KelvinPerWatt)>,
+    /// Node-power overrides of the probe (last override of a node wins).
+    pub powers: Vec<(NodeId, Watts)>,
+    buffers: SolveBuffers,
+}
+
+impl ProbeScratch {
+    /// Runs `f` on this thread's scratch, override lists emptied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` re-enters (probes again from inside `f`).
+    pub fn with_thread_local<R>(f: impl FnOnce(&mut ProbeScratch) -> R) -> R {
+        thread_local! {
+            static SCRATCH: RefCell<ProbeScratch> = RefCell::new(ProbeScratch::default());
+        }
+        SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            scratch.links.clear();
+            scratch.powers.clear();
+            f(&mut scratch)
+        })
+    }
+
+    /// Solves `net`'s steady state under the current overrides
+    /// ([`RcNetwork::steady_state_with_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a power override handle does not belong to `net`.
+    pub fn solve(&mut self, net: &RcNetwork) -> &[f64] {
+        net.steady_state_with_into(&self.links, &self.powers, &mut self.buffers)
+    }
+}
+
+/// The symbolic elimination pattern of a network's steady-state matrix.
+///
+/// The conductance matrix `G` has a nonzero `(i, j)` only where a link
+/// joins nodes `i` and `j`, so its structure is fixed by the link table,
+/// whatever the conductances. Eliminating column `c` without pivoting
+/// couples every pair of `c`'s later neighbours (the fill-in). For each
+/// column `c`, `upper[starts[c]..starts[c + 1]]` lists, ascending, the
+/// `k > c` whose `(c, k)` is structurally nonzero at that point. `G` is
+/// structurally symmetric and elimination keeps it so, hence the same
+/// list names the structurally nonzero rows below `c`. Every entry outside
+/// the pattern stays an exact `+0.0` throughout the elimination.
+#[derive(Debug, Clone)]
+pub(crate) struct SolvePattern {
+    starts: Vec<u32>,
+    upper: Vec<u32>,
+}
+
+impl SolvePattern {
+    /// Runs the symbolic elimination over the node-to-node links, one
+    /// bitset row per node.
+    pub(crate) fn new(n: usize, links: &[Link]) -> Self {
+        let words = n.div_ceil(64);
+        // Bit `k` of row `r`: `(r, k)` is structurally nonzero, `k > r`.
+        let mut rows = vec![0u64; n * words];
+        let mut couplings = 0;
+        for link in links {
+            if let (Endpoint::Node(i), Endpoint::Node(j)) = (link.a, link.b) {
+                let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+                if lo != hi {
+                    rows[lo * words + hi / 64] |= 1 << (hi % 64);
+                    couplings += 1;
+                }
+            }
+        }
+        let mut starts = Vec::with_capacity(n + 1);
+        // Exact when elimination creates no fill (the rack and board
+        // networks eliminate each die before its sink).
+        let mut upper = Vec::with_capacity(couplings);
+        starts.push(0);
+        for c in 0..n {
+            let first = upper.len();
+            for w in 0..words {
+                let mut bits = rows[c * words + w];
+                while bits != 0 {
+                    upper.push((w * 64) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+            // Fill: each later neighbour `r` of `c` inherits `c`'s other
+            // later neighbours above it.
+            for &r in &upper[first..] {
+                let r = r as usize;
+                for w in 0..words {
+                    let above_r = if w * 64 > r {
+                        !0
+                    } else if (w + 1) * 64 <= r + 1 {
+                        0
+                    } else {
+                        !0u64 << (r + 1 - w * 64)
+                    };
+                    let src = rows[c * words + w];
+                    rows[r * words + w] |= src & above_r;
+                }
+            }
+            starts.push(upper.len() as u32);
+        }
+        Self { starts, upper }
+    }
+
+    /// The structurally nonzero `k > c` of row `c` (equivalently, rows
+    /// below `c` of column `c`), ascending.
+    fn upper(&self, c: usize) -> &[u32] {
+        &self.upper[self.starts[c] as usize..self.starts[c + 1] as usize]
+    }
+}
+
+/// Which elimination [`solve_pattern`] ended up running.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SolvePath {
+    /// The pattern held from the first column to the last.
+    Pattern,
+    /// The solve handed the rest of the work to the dense path.
+    DenseFallback,
+}
+
+/// Solves `A·x = b` (row-major `a`, length `n²`, structure within
+/// `pattern`) with exactly the arithmetic of [`solve_dense`], overwriting
+/// `b` with `x` — allocation-free.
+///
+/// Per column it runs the same pivot search, the same multipliers, the
+/// same `factor == 0` skips and the same updates, in the same order, but
+/// only over the pattern's entries. What it leaves out is what the dense
+/// solve computes on structural zeros:
+///
+/// - a zero never wins the pivot search's strict `>`;
+/// - an update `x -= f · 0.0` with a finite `f` leaves `x` unchanged,
+///   because no matrix entry is ever `-0.0` (assembly and elimination only
+///   subtract from `+0.0`). Without a row swap `|f| ≤ 1` or `f` is NaN,
+///   and a NaN `f` turns its row's diagonal NaN, which both paths later
+///   report as a singular matrix;
+/// - in back-substitution, a skipped `sum -= 0.0 · x_k` with a finite
+///   `x_k` can at most flip the sign of a zero sum, so a row whose result
+///   is zero is redone densely.
+///
+/// The dense path takes over, from the current state, where those
+/// arguments fail: at a pivot that would swap rows (never for the
+/// diagonally dominant thermal matrices), at a singular pivot (the dense
+/// path then reports it exactly as before), and above a non-finite solved
+/// temperature.
+fn solve_pattern(pattern: &SolvePattern, a: &mut [f64], b: &mut [f64], n: usize) -> SolvePath {
+    for col in 0..n {
+        let nonzero = pattern.upper(col);
+        let mut pivot = col;
+        for &row in nonzero {
+            let row = row as usize;
+            if a[row * n + col].abs() > a[pivot * n + col].abs() {
+                pivot = row;
+            }
+        }
+        let diag = a[col * n + col];
+        // The dense path's singularity test (`|diag| > 1e-30` fails), NaN
+        // included.
+        let singular = diag.is_nan() || diag.abs() <= 1e-30;
+        if pivot != col || singular {
+            eliminate_dense(a, b, n, col);
+            back_substitute_dense(a, b, n);
+            return SolvePath::DenseFallback;
+        }
+        for &row in nonzero {
+            let row = row as usize;
+            let factor = a[row * n + col] / diag;
+            if factor == 0.0 {
+                continue;
+            }
+            for &k in nonzero {
+                let k = k as usize;
+                a[row * n + k] -= factor * a[col * n + k];
+            }
+            b[row] -= factor * b[col];
+        }
+    }
+    let mut path = SolvePath::Pattern;
+    for row in (0..n).rev() {
+        let on_pattern = (path == SolvePath::Pattern).then(|| {
+            let mut sum = b[row];
+            for &k in pattern.upper(row) {
+                let k = k as usize;
+                sum -= a[row * n + k] * b[k];
+            }
+            sum / a[row * n + row]
+        });
+        let x = match on_pattern {
+            // A zero may carry the other sign than the dense sum's.
+            Some(x) if x != 0.0 => x,
+            _ => back_substitute_row(a, b, n, row),
+        };
+        if !x.is_finite() {
+            // `0.0 · x` is NaN: every row above now depends on this one.
+            path = SolvePath::DenseFallback;
+        }
+        b[row] = x;
+    }
+    path
+}
+
 /// Solves `A·x = b` (row-major `a`, length `n²`) by Gaussian elimination
 /// with partial pivoting, overwriting `b` with `x` — allocation-free. The
 /// assembled thermal matrices are strictly diagonally dominant, hence
-/// non-singular.
+/// non-singular. The oracle of [`solve_pattern`].
 fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) {
-    for col in 0..n {
+    eliminate_dense(a, b, n, 0);
+    back_substitute_dense(a, b, n);
+}
+
+/// Forward elimination with partial pivoting over columns `from..n`, the
+/// columns before `from` already eliminated.
+fn eliminate_dense(a: &mut [f64], b: &mut [f64], n: usize, from: usize) {
+    for col in from..n {
         // Partial pivot.
         let mut pivot = col;
         for row in (col + 1)..n {
@@ -866,16 +1147,24 @@ fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) {
             b[row] -= factor * b[col];
         }
     }
-    // Back-substitution in place: `b[k]` for `k > row` already holds the
-    // solved `x[k]`, so overwriting `b` reproduces the out-of-place
-    // arithmetic bit for bit.
+}
+
+/// Back-substitution in place: `b[k]` for `k > row` already holds the
+/// solved `x[k]`, so overwriting `b` reproduces the out-of-place
+/// arithmetic bit for bit.
+fn back_substitute_dense(a: &[f64], b: &mut [f64], n: usize) {
     for row in (0..n).rev() {
-        let mut sum = b[row];
-        for k in (row + 1)..n {
-            sum -= a[row * n + k] * b[k];
-        }
-        b[row] = sum / a[row * n + row];
+        b[row] = back_substitute_row(a, b, n, row);
     }
+}
+
+/// `x[row]` from the upper triangle and the solved `x[k]`, `k > row`.
+fn back_substitute_row(a: &[f64], b: &[f64], n: usize, row: usize) -> f64 {
+    let mut sum = b[row];
+    for k in (row + 1)..n {
+        sum -= a[row * n + k] * b[k];
+    }
+    sum / a[row * n + row]
 }
 
 #[cfg(test)]
@@ -1111,6 +1400,97 @@ mod tests {
         assert!(!net.matrix_dirty, "identical conductance must not dirty the cache");
         net.set_link_resistance_by_id(link, KelvinPerWatt::new(0.3));
         assert!(net.matrix_dirty);
+    }
+
+    /// A three-node chain pattern (`0–1–2`) over hand-made matrices.
+    fn chain_pattern() -> SolvePattern {
+        let link = |a, b| Link { a: Endpoint::Node(a), b: Endpoint::Node(b), conductance: 1.0 };
+        SolvePattern::new(3, &[link(0, 1), link(1, 2)])
+    }
+
+    /// Runs the pattern solve and the dense oracle on copies of `(a, b)`;
+    /// returns the pattern solve's path after checking bit equality.
+    fn solve_both(a: &[f64], b: &[f64]) -> SolvePath {
+        let (mut pa, mut pb) = (a.to_vec(), b.to_vec());
+        let (mut da, mut db) = (a.to_vec(), b.to_vec());
+        let path = solve_pattern(&chain_pattern(), &mut pa, &mut pb, 3);
+        solve_dense(&mut da, &mut db, 3);
+        for (p, d) in pb.iter().zip(&db) {
+            assert_eq!(p.to_bits(), d.to_bits(), "pattern {pb:?} vs dense {db:?}");
+        }
+        path
+    }
+
+    #[test]
+    fn pattern_captures_fill_in() {
+        // A star with its hub first: eliminating the hub couples every
+        // pair of leaves.
+        let link = |a, b| Link { a: Endpoint::Node(a), b: Endpoint::Node(b), conductance: 1.0 };
+        let star = SolvePattern::new(4, &[link(0, 1), link(2, 0), link(0, 3)]);
+        assert_eq!(star.upper(0), &[1, 2, 3]);
+        assert_eq!(star.upper(1), &[2, 3]);
+        assert_eq!(star.upper(2), &[3]);
+        assert!(star.upper(3).is_empty());
+        // Hub last: no fill at all.
+        let star = SolvePattern::new(4, &[link(3, 0), link(3, 1), link(2, 3)]);
+        assert_eq!(star.upper(0), &[3]);
+        assert_eq!(star.upper(1), &[3]);
+        assert_eq!(star.upper(2), &[3]);
+    }
+
+    #[test]
+    fn diagonally_dominant_solve_stays_on_the_pattern() {
+        let a = [4.0, -1.0, 0.0, -1.0, 3.0, -1.0, 0.0, -1.0, 2.0];
+        assert_eq!(solve_both(&a, &[10.0, 0.0, 5.0]), SolvePath::Pattern);
+    }
+
+    #[test]
+    fn row_swap_falls_back_to_dense_and_matches_the_oracle() {
+        // Column 0 wants row 1 as its pivot (|3| > |1|).
+        let a = [1.0, 2.0, 0.0, 3.0, 1.0, 1.0, 0.0, 1.0, 4.0];
+        assert_eq!(solve_both(&a, &[1.0, 2.0, 3.0]), SolvePath::DenseFallback);
+        // Column 0 pivots in place, then column 1 wants a swap: the dense
+        // path resumes from the pattern's partial elimination.
+        let a = [4.0, 1.0, 0.0, 1.0, 0.1, 5.0, 0.0, 5.0, 1.0];
+        assert_eq!(solve_both(&a, &[1.0, 2.0, 3.0]), SolvePath::DenseFallback);
+    }
+
+    #[test]
+    fn non_finite_source_falls_back_to_dense_and_matches_the_oracle() {
+        // `0 · inf` is NaN, so the structural zeros above an infinite
+        // temperature stop being harmless.
+        let a = [4.0, -1.0, 0.0, -1.0, 3.0, -1.0, 0.0, -1.0, 2.0];
+        assert_eq!(solve_both(&a, &[1.0, 2.0, f64::INFINITY]), SolvePath::DenseFallback);
+    }
+
+    #[test]
+    fn zero_solutions_keep_the_dense_sign() {
+        // With every `x = -0.0`, row 0's skipped `0 · x_2` turns the dense
+        // sum `-0.0 - -0.0` into `+0.0`.
+        let a = [4.0, -1.0, 0.0, -1.0, 3.0, -1.0, 0.0, -1.0, 2.0];
+        assert_eq!(solve_both(&a, &[-0.0, -0.0, -0.0]), SolvePath::Pattern);
+        assert_eq!(solve_both(&a, &[-0.0, 0.0, -0.0]), SolvePath::Pattern);
+    }
+
+    #[test]
+    fn first_link_override_wins() {
+        let mut net = simple_two_node();
+        let die = net.node_id("die").unwrap();
+        net.set_power(die, Watts::new(100.0));
+        let link = net.link_id("sink", "ambient").unwrap();
+        let (first, second) = (KelvinPerWatt::new(0.4), KelvinPerWatt::new(0.2));
+        let once = net.steady_state_with(&[(link, first)], &[]);
+        let twice = net.steady_state_with(&[(link, first), (link, second)], &[]);
+        assert_eq!(once, twice);
+        assert!((once[1].value() - 70.0).abs() < 1e-9, "sink {}", once[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "singular thermal matrix")]
+    fn singular_pivot_reports_like_the_dense_solve() {
+        let mut a = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
+        let mut b = [1.0, 1.0, 1.0];
+        let _ = solve_pattern(&chain_pattern(), &mut a, &mut b, 3);
     }
 
     #[test]

@@ -147,20 +147,7 @@ impl FanZoneMap {
             return;
         }
         entry.fan = fan;
-        // Consecutive links often share one law (a fin array breathing the
-        // same derated airflow): evaluate the power law once per run.
-        let mut last: Option<(HeatSinkLaw, KelvinPerWatt)> = None;
-        for (link, law) in &entry.links {
-            let r = match last {
-                Some((cached_law, r)) if cached_law == *law => r,
-                _ => {
-                    let r = law.resistance(fan);
-                    last = Some((*law, r));
-                    r
-                }
-            };
-            net.set_link_resistance_by_id(*link, r);
-        }
+        entry.for_each_resistance(fan, |link, r| net.set_link_resistance_by_id(link, r));
     }
 
     /// Appends the link-resistance overrides a steady-state probe would
@@ -172,8 +159,27 @@ impl FanZoneMap {
     ///
     /// Panics if `zone` does not belong to this map.
     pub fn extend_overrides(&self, zone: ZoneId, fan: Rpm, out: &mut Vec<(LinkId, KelvinPerWatt)>) {
-        for (link, law) in &self.zones[zone.0].links {
-            out.push((*link, law.resistance(fan)));
+        self.zones[zone.0].for_each_resistance(fan, |link, r| out.push((link, r)));
+    }
+}
+
+impl ZoneEntry {
+    /// Calls `apply` with every attached link and its resistance at `fan`.
+    /// Consecutive laws on one airflow curve share one `powf`: every rack
+    /// link law derives from the one calibrated law, so a zone typically
+    /// costs a single `powf` however many links its fan drives.
+    fn for_each_resistance(&self, fan: Rpm, mut apply: impl FnMut(LinkId, KelvinPerWatt)) {
+        let mut last: Option<(HeatSinkLaw, f64)> = None;
+        for (link, law) in &self.links {
+            let term = match last {
+                Some((seen, term)) if seen.same_airflow_curve(law) => term,
+                _ => {
+                    let term = law.airflow_term(fan);
+                    last = Some((*law, term));
+                    term
+                }
+            };
+            apply(*link, law.resistance_from_airflow_term(term));
         }
     }
 }
@@ -274,6 +280,31 @@ mod tests {
                 manual.temperature(die).value().to_bits(),
                 "diverged at step {k}"
             );
+        }
+    }
+
+    #[test]
+    fn shared_powf_keeps_each_law_bitwise() {
+        // Derated laws share one airflow term; a law with another exponent
+        // between them must get its own.
+        let (net, mut zones, front, _) = two_zone_world();
+        let link = net.link_id("sink-a", "ambient").unwrap();
+        let laws = [
+            law().with_airflow_derate(1.3),
+            HeatSinkLaw::new(0.2, 90.0, 0.8),
+            law(),
+            law().with_airflow_derate(0.7),
+        ];
+        for l in laws {
+            zones.attach(front, link, l);
+        }
+        let fan = Rpm::new(3456.7);
+        let mut overrides = Vec::new();
+        zones.extend_overrides(front, fan, &mut overrides);
+        let expected = [law(), laws[0], laws[1], laws[2], laws[3]];
+        assert_eq!(overrides.len(), expected.len());
+        for ((_, r), l) in overrides.iter().zip(expected) {
+            assert_eq!(r.value().to_bits(), l.resistance(fan).value().to_bits());
         }
     }
 

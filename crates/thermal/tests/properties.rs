@@ -429,3 +429,134 @@ proptest! {
         }
     }
 }
+
+/// A random rack-shaped network for the steady-state oracle test: die/sink
+/// chains, optional chassis spreaders, plenum nodes with recirculation
+/// (some zones slotless), nodes inserted in a shuffled order so the
+/// elimination order, and with it the fill-in, varies from case to case.
+struct RandomRack {
+    net: gfsc_thermal::RcNetwork,
+    links: Vec<gfsc_thermal::LinkId>,
+    nodes: Vec<gfsc_thermal::NodeId>,
+}
+
+fn random_rack(seed: u64) -> (RandomRack, impl FnMut() -> u64) {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    // Log-uniform resistance over four decades.
+    let resistance = |next: &mut dyn FnMut() -> u64| {
+        KelvinPerWatt::new(10f64.powf((next() % 4000) as f64 / 1000.0 - 2.5))
+    };
+    let sockets = 1 + (next() % 6) as usize;
+    let zones = 1 + (next() % 3) as usize;
+    let chassis = next() % 2 == 0;
+    let recirculation = next() % 2 == 0;
+    let mut names: Vec<String> = Vec::new();
+    for s in 0..sockets {
+        names.push(format!("die{s}"));
+        names.push(format!("sink{s}"));
+    }
+    if chassis {
+        names.push("chassis".to_owned());
+    }
+    for z in 0..zones {
+        names.push(format!("plenum{z}"));
+    }
+    for i in (1..names.len()).rev() {
+        names.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    let ambient = match next() % 8 {
+        0 => 0.0,
+        1 => -0.0,
+        _ => 20.0 + (next() % 200) as f64 / 10.0,
+    };
+    let mut b = RcNetworkBuilder::new().boundary("ambient", Celsius::new(ambient));
+    for name in &names {
+        b = b.node(name.clone(), JoulesPerKelvin::new(1.0), Celsius::new(ambient));
+    }
+    let mut pairs: Vec<(String, String)> = Vec::new();
+    for s in 0..sockets {
+        pairs.push((format!("die{s}"), format!("sink{s}")));
+        pairs.push((format!("sink{s}"), "ambient".to_owned()));
+        // Zone 0 may stay slotless when there is more than one zone.
+        let zone = if zones > 1 { 1 + (next() % (zones as u64 - 1)) as usize } else { 0 };
+        pairs.push((format!("sink{s}"), format!("plenum{zone}")));
+        if chassis {
+            pairs.push((format!("sink{s}"), "chassis".to_owned()));
+        }
+    }
+    if chassis {
+        pairs.push(("chassis".to_owned(), "ambient".to_owned()));
+    }
+    for z in 0..zones {
+        pairs.push((format!("plenum{z}"), "ambient".to_owned()));
+        if recirculation && z + 1 < zones {
+            pairs.push((format!("plenum{z}"), format!("plenum{}", z + 1)));
+        }
+    }
+    for (a, c) in &pairs {
+        b = b.link(a.clone(), c.clone(), resistance(&mut next));
+    }
+    let net = b.build().unwrap();
+    let links = pairs.iter().map(|(a, c)| net.link_id(a, c).unwrap()).collect();
+    let nodes = names.iter().map(|n| net.node_id(n).unwrap()).collect();
+    (RandomRack { net, links, nodes }, next)
+}
+
+proptest! {
+    /// The pattern steady-state solve is bit-for-bit the dense oracle on
+    /// random rack-shaped networks: random topology and node order,
+    /// conductances over four decades, random (sometimes exactly zero,
+    /// sometimes negative-zero) powers, and random link and power override
+    /// sets with duplicates — including a zero ambient of either sign with
+    /// zero powers, where every solved temperature is an exact zero.
+    #[test]
+    fn pattern_steady_state_matches_dense_oracle_bitwise(seed in 0u64..(1 << 48)) {
+        let (mut rack, mut next) = random_rack(seed);
+        // One case in four draws only zero powers (of either sign).
+        let quiet = next() % 4 == 0;
+        let power = move |next: &mut dyn FnMut() -> u64| match next() % 5 {
+            0 => Watts::new(0.0),
+            1 => Watts::new(-0.0),
+            _ if quiet => Watts::new(0.0),
+            _ => Watts::new((next() % 20_000) as f64 / 100.0),
+        };
+        for &node in &rack.nodes {
+            if next() % 2 == 0 {
+                rack.net.set_power(node, power(&mut next));
+            }
+        }
+        let mut buffers = gfsc_thermal::SolveBuffers::default();
+        for _ in 0..16 {
+            let link_overrides: Vec<_> = (0..next() % 8)
+                .map(|_| {
+                    let link = rack.links[(next() % rack.links.len() as u64) as usize];
+                    let r = KelvinPerWatt::new(10f64.powf((next() % 4000) as f64 / 1000.0 - 2.5));
+                    (link, r)
+                })
+                .collect();
+            let power_overrides: Vec<_> = (0..next() % 8)
+                .map(|_| {
+                    let node = rack.nodes[(next() % rack.nodes.len() as u64) as usize];
+                    (node, power(&mut next))
+                })
+                .collect();
+            let dense = rack.net.steady_state_with_dense(&link_overrides, &power_overrides);
+            let pattern = rack.net.steady_state_with(&link_overrides, &power_overrides);
+            let warm = rack.net.steady_state_with_into(&link_overrides, &power_overrides, &mut buffers);
+            prop_assert_eq!(dense.len(), pattern.len());
+            for (i, d) in dense.iter().enumerate() {
+                prop_assert_eq!(
+                    d.value().to_bits(), pattern[i].value().to_bits(),
+                    "seed {} node {}: dense {} vs pattern {}", seed, i, d, pattern[i]
+                );
+                prop_assert_eq!(d.value().to_bits(), warm[i].to_bits(), "warm buffers, node {}", i);
+            }
+        }
+    }
+}

@@ -5,10 +5,12 @@
 #                              # (GFSC_SWEEP_THREADS=1 and =4 — determinism
 #                              # under both executors), release tests,
 #                              # daemon HIL + wall-clock pacing drills,
-#                              # large-grid smoke, bench smoke, bench check
+#                              # perfbench digests, large-grid smoke,
+#                              # bench smoke, bench check
 #     ./scripts/ci.sh quick    # fmt, clippy, lint, single test run +
-#                              # daemon HIL + pacing drills; skip the
-#                              # release tests & bench stages
+#                              # daemon HIL + pacing drills + perfbench
+#                              # digests; skip the release tests & bench
+#                              # stages
 #
 # Mirrors the tier-1 verify command (`cargo build --release && cargo test -q`)
 # and adds the style gates that keep the tree warning-free.
@@ -73,6 +75,32 @@ run_paced_stage() {
     run_stage "daemond-drills" daemond_drills
 }
 
+# The model's output bits, pinned end to end in BOTH profiles: the
+# benchmark's seed-0 runs of the rack mode matrix and the batched sweep
+# check their output digests against perfbench/digests.txt, so a solver
+# or controller change that moves a single bit fails CI here, not only in
+# the benchmark pipeline. A run passes only if its last line (the result
+# JSON) reports `"correct": true` and `"failed": 0`.
+run_perfbench_stage() {
+    perfbench_digests() {
+        local manifest=perfbench/Cargo.toml workload last
+        cargo build -q --release --locked --offline --manifest-path "$manifest"
+        for workload in rack_modes sweep; do
+            last=$(cargo run -q --release --locked --offline --manifest-path "$manifest" -- \
+                --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)
+            echo "$workload: $last"
+            case "$last" in
+                *'"correct": true,'*'"failed": 0,'*) ;;
+                *)
+                    echo "perfbench $workload: output digests or checks failed" >&2
+                    return 1
+                    ;;
+            esac
+        done
+    }
+    run_stage "perfbench-digests" perfbench_digests
+}
+
 # Renders every HIL scenario's flight recording into a causal timeline
 # (`<scenario>.timeline` next to the `.events` file) — the human-readable
 # artifact the nightly workflow uploads, and a smoke test that the
@@ -93,6 +121,7 @@ if [ "${1:-}" = "quick" ]; then
     run_stage "test" cargo test -q --locked --offline
     run_hil_stage
     run_paced_stage
+    run_perfbench_stage
 else
     # The full gate runs the suite under both a serial and a parallel
     # sweep executor: the parallel==serial determinism contract must hold
@@ -103,6 +132,7 @@ else
     run_stage "test-release" cargo test -q --release --locked --offline
     run_hil_stage
     run_paced_stage
+    run_perfbench_stage
     run_explain_stage
     # 10k-cell grid through shard manifests and spilled traces: the sweep
     # scale-out machinery at a size the default suite can't afford.
