@@ -9,7 +9,8 @@
 //! [`crate::RackControl`] matrix against any implementation, so the same
 //! controller state machine drives a simulated rack (`RackServer`
 //! implements the trait directly) or a streamed mirror fed by a
-//! `TelemetrySource` (the `gfsc-daemon` crate).
+//! `TelemetrySource` (the `gfsc-daemon` crate), both backed by one
+//! `gfsc_rack::RackState`.
 //!
 //! The trait is deliberately *measurement-shaped*: controllers see the
 //! firmware's lagged, quantized view (`measured_*`), tachometer fan

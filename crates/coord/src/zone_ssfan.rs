@@ -71,18 +71,20 @@ impl ViolationWindow {
 ///
 /// ```
 /// use gfsc_coord::{SingleStepFanScaling, SsFanAction, ZoneSsFanBank};
+/// use gfsc_obs::Recorder;
 /// use gfsc_units::Celsius;
 ///
 /// let mut bank = ZoneSsFanBank::new(2, SingleStepFanScaling::new(0.3), 10, true);
+/// let mut rec = Recorder::disarmed();
 /// // Rear zone violates hard: it boosts; the front zone stays quiet.
 /// bank.record(1, 4, 4);
 /// bank.begin_epoch();
 /// assert_eq!(
-///     bank.evaluate(1, Celsius::new(82.0), Celsius::new(75.0)),
+///     bank.evaluate(1, Celsius::new(82.0), Celsius::new(75.0), 0, &mut rec),
 ///     SsFanAction::Hold,
 /// );
 /// assert_eq!(
-///     bank.evaluate(0, Celsius::new(74.0), Celsius::new(75.0)),
+///     bank.evaluate(0, Celsius::new(74.0), Celsius::new(75.0), 0, &mut rec),
 ///     SsFanAction::None,
 /// );
 /// ```
@@ -171,23 +173,14 @@ impl ZoneSsFanBank {
         }
     }
 
-    /// One epoch of zone `z`'s state machine, guard included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is out of range.
-    pub fn evaluate(&mut self, z: usize, measured: Celsius, reference: Celsius) -> SsFanAction {
-        self.evaluate_traced(z, measured, reference, 0, &mut Recorder::disarmed())
-    }
-
-    /// [`Self::evaluate`] with decision tracing: boost entries, holds,
-    /// thermal releases and guard releases (the rack-level
+    /// One epoch of zone `z`'s state machine, guard included. Boost
+    /// entries, holds, thermal releases and guard releases (the rack-level
     /// borrowed-heat verdict) land in `rec` as `epoch`-stamped events.
     ///
     /// # Panics
     ///
     /// Panics if `z` is out of range.
-    pub fn evaluate_traced(
+    pub fn evaluate(
         &mut self,
         z: usize,
         measured: Celsius,
@@ -237,11 +230,12 @@ mod tests {
 
     #[test]
     fn zones_boost_independently() {
+        let mut rec = Recorder::disarmed();
         let mut b = bank(true);
         b.record(1, 4, 4);
         b.begin_epoch();
-        assert_eq!(b.evaluate(0, c(74.0), c(75.0)), SsFanAction::None);
-        assert_eq!(b.evaluate(1, c(82.0), c(75.0)), SsFanAction::Hold);
+        assert_eq!(b.evaluate(0, c(74.0), c(75.0), 0, &mut rec), SsFanAction::None);
+        assert_eq!(b.evaluate(1, c(82.0), c(75.0), 0, &mut rec), SsFanAction::Hold);
         assert!(!b.is_active(0));
         assert!(b.is_active(1));
         assert_eq!(b.zone_count(), 2);
@@ -273,13 +267,14 @@ mod tests {
 
     #[test]
     fn neighbour_boost_does_not_mask_release() {
+        let mut rec = Recorder::disarmed();
         let mut b = bank(true);
         // Both zones boost on a shared spike.
         b.record(0, 4, 4);
         b.record(1, 4, 4);
         b.begin_epoch();
-        assert_eq!(b.evaluate(0, c(83.0), c(75.0)), SsFanAction::Hold);
-        assert_eq!(b.evaluate(1, c(83.0), c(75.0)), SsFanAction::Hold);
+        assert_eq!(b.evaluate(0, c(83.0), c(75.0), 0, &mut rec), SsFanAction::Hold);
+        assert_eq!(b.evaluate(1, c(83.0), c(75.0), 0, &mut rec), SsFanAction::Hold);
         // Zone 0's own sockets go clean, but the neighbour's hot
         // recirculated air keeps its measurement above the release band.
         for _ in 0..10 {
@@ -290,42 +285,44 @@ mod tests {
         // Without the guard this would Hold (measured far above the
         // band); with it, the borrowed heat is attributed to the
         // boosting neighbour and the zone releases.
-        assert_eq!(b.evaluate(0, c(82.0), c(75.0)), SsFanAction::Release);
+        assert_eq!(b.evaluate(0, c(82.0), c(75.0), 0, &mut rec), SsFanAction::Release);
         assert!(!b.is_active(0));
         // The dirty neighbour keeps holding on its own merits.
-        assert_eq!(b.evaluate(1, c(82.0), c(75.0)), SsFanAction::Hold);
+        assert_eq!(b.evaluate(1, c(82.0), c(75.0), 0, &mut rec), SsFanAction::Hold);
     }
 
     #[test]
     fn guard_requires_plenum_coupling() {
+        let mut rec = Recorder::disarmed();
         let mut b = bank(false);
         b.record(0, 4, 4);
         b.record(1, 4, 4);
         b.begin_epoch();
-        b.evaluate(0, c(83.0), c(75.0));
-        b.evaluate(1, c(83.0), c(75.0));
+        b.evaluate(0, c(83.0), c(75.0), 0, &mut rec);
+        b.evaluate(1, c(83.0), c(75.0), 0, &mut rec);
         for _ in 0..10 {
             b.record(0, 0, 4);
             b.record(1, 4, 4);
         }
         b.begin_epoch();
         // Isolated zones: a hot reading is this zone's own problem.
-        assert_eq!(b.evaluate(0, c(82.0), c(75.0)), SsFanAction::Hold);
+        assert_eq!(b.evaluate(0, c(82.0), c(75.0), 0, &mut rec), SsFanAction::Hold);
     }
 
     #[test]
     fn single_zone_guard_is_inert() {
+        let mut rec = Recorder::disarmed();
         let mut b = ZoneSsFanBank::new(1, SingleStepFanScaling::new(0.3), 10, true);
         b.record(0, 1, 1);
         b.begin_epoch();
-        assert_eq!(b.evaluate(0, c(83.0), c(75.0)), SsFanAction::Hold);
+        assert_eq!(b.evaluate(0, c(83.0), c(75.0), 0, &mut rec), SsFanAction::Hold);
         for _ in 0..10 {
             b.record(0, 0, 1);
         }
         b.begin_epoch();
         // No neighbour exists, so only the thermal condition releases.
-        assert_eq!(b.evaluate(0, c(82.0), c(75.0)), SsFanAction::Hold);
-        assert_eq!(b.evaluate(0, c(76.0), c(75.0)), SsFanAction::Release);
+        assert_eq!(b.evaluate(0, c(82.0), c(75.0), 0, &mut rec), SsFanAction::Hold);
+        assert_eq!(b.evaluate(0, c(76.0), c(75.0), 0, &mut rec), SsFanAction::Release);
     }
 
     #[test]

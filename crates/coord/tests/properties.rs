@@ -1,6 +1,7 @@
 //! Property-based tests for the coordination layer.
 
 use gfsc_coord::{rule_matrix, CpuCapController, SingleStepFanScaling, SsFanAction};
+use gfsc_obs::Recorder;
 use gfsc_units::{Bounds, Celsius, Rpm, Utilization};
 use proptest::prelude::*;
 
@@ -144,7 +145,7 @@ proptest! {
             prop_bits[..n].iter().map(|&p| Utilization::new(p)).collect();
         let mut caps = before.clone();
         let mut coord = CappingCoordinator::new(n, budget, t_emergency);
-        coord.arbitrate(&measured, &mut caps, &proposed);
+        coord.arbitrate(&measured, &mut caps, &proposed, 0, &mut Recorder::disarmed());
 
         let mut non_emergency_cuts = 0;
         for i in 0..n {

@@ -19,6 +19,7 @@ use gfsc_coord::{
     FixedPidFan, IntegralCapper, RackControl, RackLoopSim, SingleStepFanScaling, SsFanAction,
     ZoneEnergyCoordinator,
 };
+use gfsc_obs::Recorder;
 use gfsc_rack::{RackServer, RackSpec, RackTopology};
 use gfsc_sensors::MovingAverage;
 use gfsc_server::ServerSpec;
@@ -236,7 +237,13 @@ impl SingleFanSsLoop {
         for i in 0..sockets {
             self.proposed[i] = self.capper.propose(self.measured[i], self.caps[i]);
         }
-        self.coordinator.arbitrate(&self.measured, &mut self.caps, &self.proposed);
+        self.coordinator.arbitrate(
+            &self.measured,
+            &mut self.caps,
+            &self.proposed,
+            0,
+            &mut Recorder::disarmed(),
+        );
         let mut sum = 0.0;
         for d in &self.demands {
             sum += d.value();

@@ -28,9 +28,9 @@
 //! Every transition is counted in [`DaemonMetrics`] and timestamped in
 //! the run's event log.
 
+use crate::view::DaemonRackView;
 use crate::{
-    DaemonMetrics, DaemonRackView, FanActuator, MetricsEndpoint, PacingConfig, TelemetrySource,
-    WallClock,
+    DaemonMetrics, FanActuator, MetricsEndpoint, PacingConfig, TelemetrySource, WallClock,
 };
 use gfsc_coord::{RackChannels, RackControlBank, RackControlConfig, RackView};
 use gfsc_obs::{EventKind, FlightSnapshot, Source};
@@ -208,15 +208,15 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
         assert_eq!(backend.zone_count(), view.zone_count(), "backend/spec zone mismatch");
         let bank = RackControlBank::new(
             cfg.control.clone(),
-            view.spec(),
+            view.state.spec(),
             view.plant(),
             cfg.start_utilization,
         );
         let sockets = view.socket_count();
         let zones = view.zone_count();
-        let start = view.spec().server.fan_bounds.clamp(cfg.start_fan);
+        let start = view.state.spec().server.fan_bounds.clamp(cfg.start_fan);
         let mut metrics = DaemonMetrics::new(zones);
-        for (slot, zone) in metrics.zones.iter_mut().zip(view.spec().rack.zones()) {
+        for (slot, zone) in metrics.zones.iter_mut().zip(view.state.spec().rack.zones()) {
             slot.label = zone.name.clone();
         }
         Self {
@@ -294,7 +294,7 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
         horizon: Seconds,
         mut pacing: Option<(&mut dyn WallClock, PacingConfig)>,
     ) -> DaemonRunOutcome {
-        let spec = self.view.spec().server.clone();
+        let spec = self.view.state.spec().server.clone();
         let mut clock = Clock::new(spec.sim_dt);
         let mut cpu_epoch = Periodic::new(spec.cpu_control_interval);
         let mut fan_epoch = Periodic::new(spec.fan_control_interval);
@@ -428,7 +428,7 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
             self.view.ingest_temperatures(&self.temp_scratch);
         }
         if tachs.is_ok() {
-            self.view.ingest_fan_speeds(&self.tach_scratch);
+            self.view.state.set_fan_speeds(&self.tach_scratch);
         }
         let read_err = !temps_ok || tachs.is_err() || demand.is_err();
         if read_err {
@@ -450,8 +450,8 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
                     // Re-arm bumplessly: caps released, fan integrators
                     // reset, mirror targets at what firmware commanded.
                     self.bank.reset_after_fallback();
-                    let hi = self.view.spec().server.fan_bounds.hi();
-                    self.view.force_targets(hi);
+                    let hi = self.view.state.spec().server.fan_bounds.hi();
+                    self.view.set_all_fan_targets(hi);
                     for (acked, z) in self.last_acked.iter_mut().zip(0usize..) {
                         *acked = self.view.zone_fan_target(z);
                     }
@@ -503,7 +503,7 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
                 // --- actuate: migrations, fan targets (deadzoned),
                 // caps. ------------------------------------------------
                 let mut write_err = false;
-                for shift in self.view.take_shifts() {
+                for shift in self.view.drain_shifts() {
                     if self.backend.migrate_load(shift.from, shift.to, shift.amount).is_err() {
                         write_err = true;
                     }
@@ -530,7 +530,8 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
                 if self.backend.write_caps(self.bank.caps()).is_err() {
                     write_err = true;
                 }
-                self.view.mirror_executed(self.bank.executed());
+                // The enforced point the rack executes until the next epoch.
+                self.view.state.set_executed(self.bank.executed());
 
                 if write_err {
                     self.metrics.write_failures += 1;

@@ -3,9 +3,10 @@
 //! The batch simulator answers the paper's questions; this crate makes
 //! the same controllers *deployable*. Every `gfsc_coord::RackControl`
 //! mode already runs against the [`gfsc_coord::RackView`] seam — here
-//! the view is a polled mirror ([`DaemonRackView`]) fed through a
-//! [`TelemetrySource`] and flushed through a [`FanActuator`], with a
-//! watchdog ([`Daemon`]) around the loop:
+//! the view is a polled mirror, sharing the simulated rack's
+//! `gfsc_rack::RackState`, fed through a [`TelemetrySource`] and flushed
+//! through a [`FanActuator`], with a watchdog ([`Daemon`]) around the
+//! loop:
 //!
 //! - per-sensor staleness/freeze budgets ([`gfsc_sensors::SensorHealth`]),
 //! - deadzone/hysteresis on fan writes, bounded retry on failures,
@@ -53,5 +54,4 @@ pub use ipmi::{
 pub use metrics::{DaemonMetrics, MetricsEndpoint, ZoneActuation};
 pub use sim_backend::{FaultPlan, SimTelemetry};
 pub use traits::{FanActuator, TelemetryError, TelemetrySource};
-pub use view::{DaemonRackView, LoadShift};
 pub use wallclock::{MockClock, MonotonicClock, PacingConfig, WallClock};

@@ -4,10 +4,11 @@
 //! [`SimTelemetry`] owns a `gfsc_rack::RackServer` and a workload and
 //! exposes them through [`TelemetrySource`] / [`FanActuator`] — the
 //! hardware-in-the-loop stand-in. With [`FaultPlan::none`] the daemon
-//! loop over this backend replays the batch `RackLoopSim` bit-for-bit
-//! (fan/cap/measured traces; pinned by `tests/parity.rs`). With faults
-//! armed, each fault is a deterministic [`FaultSchedule`] on the
-//! simulation clock, so a failing HIL scenario replays exactly:
+//! loop over this backend replays the batch `RackLoopSim` bit-for-bit in
+//! every control mode (fan/cap/measured traces; pinned by
+//! `tests/parity.rs`). With faults armed, each fault is a deterministic
+//! [`FaultSchedule`] on the simulation clock, so a failing HIL scenario
+//! replays exactly:
 //!
 //! - **frozen sensor** — one socket's reads keep succeeding but latch
 //!   the value held at window entry (the failure mode
@@ -207,13 +208,9 @@ impl TelemetrySource for SimTelemetry {
     fn advance(&mut self, dt: Seconds) {
         if self.fallback {
             // Firmware auto-control: demand runs uncapped.
-            for i in 0..self.executed.len() {
-                self.executed[i] = self.server.socket_demand(i, self.last_demand);
-            }
+            self.server.socket_demands(self.last_demand, &mut self.executed);
         }
-        let executed = core::mem::take(&mut self.executed);
-        self.server.step(dt, &executed);
-        self.executed = executed;
+        self.server.step(dt, &self.executed);
         self.max_junction = self.max_junction.max(self.server.true_junction());
     }
 }
@@ -257,9 +254,7 @@ impl FanActuator for SimTelemetry {
         let hi = self.server.spec().server.fan_bounds.hi();
         self.server.set_all_fan_targets(hi);
         self.caps.fill(Utilization::FULL);
-        for i in 0..self.executed.len() {
-            self.executed[i] = self.server.socket_demand(i, self.last_demand);
-        }
+        self.server.socket_demands(self.last_demand, &mut self.executed);
         Ok(())
     }
 

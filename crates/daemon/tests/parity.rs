@@ -48,6 +48,7 @@ fn bits_of(traces: &TraceSet, zones: usize, sockets: usize) -> Vec<(String, Vec<
 }
 
 fn assert_parity(control: RackControl) {
+    let label = control.label();
     let spec = RackSpec::new(RackTopology::rack_2u_x4());
 
     let mut sim = RackLoopSim::builder(spec.clone()).workload(workload()).control(control).build();
@@ -66,15 +67,15 @@ fn assert_parity(control: RackControl) {
     let mut daemon = Daemon::new(backend, spec, cfg);
     let streamed = daemon.run(Seconds::new(HORIZON));
 
-    assert_eq!(streamed.metrics.fallback_entries, 0, "no fault may trip the watchdog");
-    assert_eq!(streamed.total_violations, batch.total_violations, "violation accounting");
-    assert_eq!(streamed.total_epochs, batch.total_epochs, "epoch accounting");
+    assert_eq!(streamed.metrics.fallback_entries, 0, "{label}: no fault may trip the watchdog");
+    assert_eq!(streamed.total_violations, batch.total_violations, "{label}: violation accounting");
+    assert_eq!(streamed.total_epochs, batch.total_epochs, "{label}: epoch accounting");
 
     let want = bits_of(&batch.traces, zones, sockets);
     let got = bits_of(&streamed.traces, zones, sockets);
     for ((name, want_t, want_v), (_, got_t, got_v)) in want.iter().zip(&got) {
-        assert_eq!(want_t, got_t, "{name}: sample times diverge");
-        assert_eq!(want_v, got_v, "{name}: sample values diverge");
+        assert_eq!(want_t, got_t, "{label} {name}: sample times diverge");
+        assert_eq!(want_v, got_v, "{label} {name}: sample values diverge");
     }
 }
 
@@ -86,4 +87,20 @@ fn coordinated_replays_batch_loop_bit_for_bit() {
 #[test]
 fn global_ecoord_replays_batch_loop_bit_for_bit() {
     assert_parity(RackControl::GlobalECoord);
+}
+
+#[test]
+fn every_mode_replays_batch_loop_bit_for_bit() {
+    // The remaining seven of the nine labels: `RackControl::ALL` plus
+    // the two fixed-reference variants it omits, less the two modes
+    // pinned by the tests above.
+    let pinned = [RackControl::Coordinated { adaptive_reference: true }, RackControl::GlobalECoord];
+    let fixed = ["coordinated+ss-fixed", "coordinated+migrate-fixed"]
+        .map(|label| RackControl::from_label(label).expect("known label"));
+    let modes: Vec<RackControl> =
+        RackControl::ALL.into_iter().chain(fixed).filter(|c| !pinned.contains(c)).collect();
+    assert_eq!(modes.len() + pinned.len(), 9, "nine control labels in all");
+    for control in modes {
+        assert_parity(control);
+    }
 }

@@ -17,6 +17,8 @@
 //! - [`RackPlant::zone_plant`]: a per-zone view implementing the
 //!   single-fan `gfsc_server::PlantModel` contract, so zone controllers
 //!   and tuners see exactly what a server controller sees,
+//! - [`RackState`]: what a rack controller observes and commands, shared
+//!   by the simulated rack and the daemon's telemetry mirror,
 //! - [`RackServer`]: the closed physical rack — per-zone slew-limited fan
 //!   walls, per-socket non-ideal sensor chains, per-zone max aggregation,
 //!   rack-wide energy metering,
@@ -46,8 +48,10 @@
 
 mod plant;
 mod server;
+mod state;
 mod topology;
 
 pub use plant::{RackPlant, ZonePlant};
 pub use server::{RackServer, RackSpec, ZoneFanPlant};
+pub use state::RackState;
 pub use topology::{PlenumDef, RackTopology, RackZoneDef, ServerSlot};

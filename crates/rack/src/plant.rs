@@ -418,6 +418,13 @@ impl RackPlant {
     ///
     /// Panics if the slice lengths disagree with the topology.
     pub fn step(&mut self, dt: Seconds, powers: &[Watts], fans: &[Rpm]) {
+        self.set_inputs(powers, fans);
+        self.net.step(dt);
+    }
+
+    /// Makes `(powers, fans)` the live operating point — what the next
+    /// step integrates under and zone-view probes hold other zones at.
+    pub(crate) fn set_inputs(&mut self, powers: &[Watts], fans: &[Rpm]) {
         assert_eq!(powers.len(), self.sockets.len(), "one power per socket");
         assert_eq!(fans.len(), self.zone_ids.len(), "one fan speed per zone");
         for (socket, &power) in self.sockets.iter().zip(powers) {
@@ -426,7 +433,6 @@ impl RackPlant {
         for (&zone, &fan) in self.zone_ids.iter().zip(fans) {
             self.zones.set_fan(&mut self.net, zone, fan);
         }
-        self.net.step(dt);
     }
 
     /// Non-mutating steady-state probe of the whole rack at `(powers,
@@ -586,14 +592,7 @@ impl RackPlant {
     ///
     /// Panics if the slice lengths disagree with the topology.
     pub fn equilibrate(&mut self, powers: &[Watts], fans: &[Rpm]) {
-        assert_eq!(powers.len(), self.sockets.len(), "one power per socket");
-        assert_eq!(fans.len(), self.zone_ids.len(), "one fan speed per zone");
-        for (socket, &power) in self.sockets.iter().zip(powers) {
-            self.net.set_power(socket.die, power);
-        }
-        for (&zone, &fan) in self.zone_ids.iter().zip(fans) {
-            self.zones.set_fan(&mut self.net, zone, fan);
-        }
+        self.set_inputs(powers, fans);
         self.net.snap_to_steady_state();
     }
 

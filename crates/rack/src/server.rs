@@ -2,10 +2,10 @@
 //! chains + energy metering — the rack-level analogue of
 //! `gfsc_server::Server`.
 
-use crate::{RackPlant, RackTopology};
+use crate::{RackPlant, RackState, RackTopology};
 use gfsc_power::EnergyMeter;
 use gfsc_sensors::MeasurementPipeline;
-use gfsc_server::{build_measurement_pipeline, FanActuator, ServerSpec};
+use gfsc_server::{build_measurement_pipeline, ServerSpec};
 use gfsc_units::{Celsius, Joules, Rpm, Seconds, Utilization, Watts};
 
 /// The complete parameterization of a simulated rack: one per-server
@@ -81,36 +81,14 @@ impl RackSpec {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RackServer {
-    spec: RackSpec,
-    plant: RackPlant,
-    fans: Vec<FanActuator>,
+    /// Everything a controller sees and commands, fed from the actuators
+    /// and sensor chains every step.
+    state: RackState,
     /// One measurement chain per flat socket.
     pipelines: Vec<MeasurementPipeline>,
     cpu_energy: EnergyMeter,
     fan_energy: EnergyMeter,
     now: Seconds,
-    /// Per-zone max-aggregated firmware view, refreshed every step.
-    measured_zone: Vec<Celsius>,
-    /// Per-server demand weights. Starts at the topology's slot weights;
-    /// a work migrator may shift weight between servers at run time.
-    server_weights: Vec<f64>,
-    /// Flat per-socket base weights (the socket's own load weight,
-    /// immutable — migration moves *server* weight).
-    socket_base_weights: Vec<f64>,
-    /// Flat per-socket demand weights: server weight × socket base
-    /// weight, re-derived whenever server weights move.
-    socket_weights: Vec<f64>,
-    /// Per-socket power scratch (no per-step allocation).
-    socket_powers: Vec<Watts>,
-    /// Per-zone fan-speed scratch.
-    zone_speeds: Vec<Rpm>,
-    /// The executed utilizations of the latest step.
-    executed: Vec<Utilization>,
-    /// Probe scratch for [`RackServer::min_safe_zone_fan`] (no per-call
-    /// allocation).
-    probe_powers: Vec<Watts>,
-    /// Probe scratch: the frozen other-zone fan speeds.
-    probe_fans: Vec<Rpm>,
 }
 
 impl RackServer {
@@ -123,80 +101,39 @@ impl RackServer {
     /// cannot be compiled into a network.
     #[must_use]
     pub fn new(spec: RackSpec) -> Self {
-        spec.validate();
-        let plant = RackPlant::new(&spec.calibration(), &spec.rack)
-            // gfsc-lint: allow(panic) construction-time only (spec.validate() just ran); documented in this fn's `# Panics` section
-            .expect("stock rack topologies compile");
-        let server = &spec.server;
-        let fans = (0..plant.zone_count())
-            .map(|_| {
-                FanActuator::new(server.fan_bounds.lo(), server.fan_bounds, server.fan_slew)
-                    .with_cmd_step(server.fan_cmd_step)
-            })
-            .collect();
-        let pipelines: Vec<MeasurementPipeline> = (0..plant.socket_count())
+        let state = RackState::new(spec);
+        let server = &state.spec().server;
+        let pipelines: Vec<MeasurementPipeline> = (0..state.socket_count())
             .map(|_| build_measurement_pipeline(server, server.ambient))
             .collect();
-        let server_weights: Vec<f64> = spec.rack.servers().iter().map(|s| s.load_weight).collect();
-        let socket_base_weights: Vec<f64> = spec
-            .rack
-            .servers()
-            .iter()
-            .flat_map(|slot| slot.board.sockets().iter().map(|socket| socket.load_weight))
-            .collect();
-        let socket_weights = spec
-            .rack
-            .servers()
-            .iter()
-            .flat_map(|slot| {
-                slot.board.sockets().iter().map(|socket| slot.load_weight * socket.load_weight)
-            })
-            .collect();
-        let measured_zone = vec![server.ambient; plant.zone_count()];
-        let socket_powers = vec![Watts::new(0.0); plant.socket_count()];
-        let zone_speeds = vec![server.fan_bounds.lo(); plant.zone_count()];
-        let executed = vec![Utilization::IDLE; plant.socket_count()];
-        let probe_powers = vec![Watts::new(0.0); plant.socket_count()];
-        let probe_fans = vec![server.fan_bounds.lo(); plant.zone_count()];
         let mut rack = Self {
-            spec,
-            plant,
-            fans,
+            state,
             pipelines,
             cpu_energy: EnergyMeter::new(),
             fan_energy: EnergyMeter::new(),
             now: Seconds::new(0.0),
-            measured_zone,
-            server_weights,
-            socket_base_weights,
-            socket_weights,
-            socket_powers,
-            zone_speeds,
-            executed,
-            probe_powers,
-            probe_fans,
         };
-        rack.refresh_measured();
+        rack.record_measurements();
         rack
     }
 
     /// The calibration in use.
     #[must_use]
     pub fn spec(&self) -> &RackSpec {
-        &self.spec
+        self.state.spec()
     }
 
     /// The rack thermal plant (for model-based controllers and per-zone
     /// [`gfsc_server::PlantModel`] views).
     #[must_use]
     pub fn plant(&self) -> &RackPlant {
-        &self.plant
+        self.state.plant()
     }
 
     /// Mutable plant access (per-zone views are mutable by construction).
     #[must_use]
     pub fn plant_mut(&mut self) -> &mut RackPlant {
-        &mut self.plant
+        self.state.plant_mut()
     }
 
     /// Simulation time accumulated by this rack.
@@ -208,95 +145,55 @@ impl RackServer {
     /// Number of fan zones.
     #[must_use]
     pub fn zone_count(&self) -> usize {
-        self.fans.len()
+        self.state.zone_count()
     }
 
     /// Total socket count (the length of every per-socket slice).
     #[must_use]
     pub fn socket_count(&self) -> usize {
-        self.pipelines.len()
+        self.state.socket_count()
     }
 
     /// Number of servers.
     #[must_use]
     pub fn server_count(&self) -> usize {
-        self.plant.server_count()
+        self.state.server_count()
     }
 
-    /// Socket `i`'s demand under rack-wide demand `u`:
-    /// `clamp(u × slot weight × socket weight)`.
+    /// See [`RackState::socket_demand`].
     #[must_use]
     pub fn socket_demand(&self, i: usize, u: Utilization) -> Utilization {
-        Utilization::new(u.value() * self.socket_weights[i])
+        self.state.socket_demand(i, u)
     }
 
-    /// Fills `out` with every socket's demand under rack-wide demand `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not one entry per socket.
+    /// See [`RackState::socket_demands`].
     pub fn socket_demands(&self, u: Utilization, out: &mut [Utilization]) {
-        assert_eq!(out.len(), self.socket_weights.len(), "one demand per socket");
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.socket_demand(i, u);
-        }
+        self.state.socket_demands(u, out);
     }
 
-    /// Server `s`'s current demand weight (the topology's slot weight,
-    /// possibly shifted at run time by [`RackServer::shift_load_weight`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
+    /// See [`RackState::server_load_weight`].
     #[must_use]
     pub fn server_load_weight(&self, s: usize) -> f64 {
-        self.server_weights[s]
+        self.state.server_load_weight(s)
     }
 
-    /// Socket `i`'s effective demand weight (server weight × socket base
-    /// weight).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
+    /// See [`RackState::socket_load_weight`].
     #[must_use]
     pub fn socket_load_weight(&self, i: usize) -> f64 {
-        self.socket_weights[i]
+        self.state.socket_load_weight(i)
     }
 
-    /// Moves `amount` of demand weight from server `from` to server `to` —
-    /// the load-weight mutation hook a work migrator drives. The rack-wide
-    /// weight sum is conserved, so (absent cap saturation) total demand
-    /// is too; only its placement changes. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices coincide or are out of range, `amount` is not
-    /// positive, or the transfer would drain `from` to zero (a server
-    /// keeps a strictly positive share of its own work).
+    /// The load-weight mutation hook a work migrator drives; see
+    /// [`RackState::shift_load_weight`].
     pub fn shift_load_weight(&mut self, from: usize, to: usize, amount: f64) {
-        assert!(from != to, "cannot migrate a server's work onto itself");
-        assert!(amount > 0.0, "migrated weight must be positive");
-        assert!(
-            self.server_weights[from] - amount > 0.0,
-            "migration would drain server {from} (weight {}, amount {amount})",
-            self.server_weights[from]
-        );
-        self.server_weights[from] -= amount;
-        self.server_weights[to] += amount;
-        for s in [from, to] {
-            let weight = self.server_weights[s];
-            for i in self.plant.server_sockets(s) {
-                self.socket_weights[i] = weight * self.socket_base_weights[i];
-            }
-        }
+        self.state.shift_load_weight(from, to, amount);
     }
 
     /// Hottest true junction temperature across the rack (invisible to
     /// firmware).
     #[must_use]
     pub fn true_junction(&self) -> Celsius {
-        self.plant.hottest_junction()
+        self.plant().hottest_junction()
     }
 
     /// True junction temperature of flat socket `i`.
@@ -306,88 +203,53 @@ impl RackServer {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn junction_socket(&self, i: usize) -> Celsius {
-        self.plant.junction(i)
+        self.plant().junction(i)
     }
 
     /// The firmware's (lagged, quantized) view of socket `i`'s junction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
     #[must_use]
     pub fn measured_socket(&self, i: usize) -> Celsius {
-        Celsius::new(self.pipelines[i].current())
+        self.state.measured_socket(i)
     }
 
-    /// Zone `z`'s aggregated firmware view: the hottest of its sockets'
-    /// measurement chains (max aggregation — the fan must satisfy the
-    /// worst socket it serves).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is out of range.
+    /// See [`RackState::measured_zone`].
     #[must_use]
     pub fn measured_zone(&self, z: usize) -> Celsius {
-        self.measured_zone[z]
+        self.state.measured_zone(z)
     }
 
-    /// The rack-wide aggregated view: the hottest zone aggregate — what a
-    /// naive global controller acts on.
+    /// See [`RackState::measured_rack`].
     #[must_use]
     pub fn measured_rack(&self) -> Celsius {
-        let Some((&first, rest)) = self.measured_zone.split_first() else {
-            // A zoneless rack cannot be built (the spec validates), but
-            // reading ambient beats indexing into an empty aggregate.
-            return self.spec.server.ambient;
-        };
-        let mut hottest = first;
-        for &m in rest {
-            hottest = hottest.hotter(m);
-        }
-        hottest
+        self.state.measured_rack()
     }
 
     /// Actual fan speed of zone `z`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is out of range.
     #[must_use]
     pub fn zone_fan_speed(&self, z: usize) -> Rpm {
-        self.fans[z].speed()
+        self.state.zone_fan_speed(z)
     }
 
     /// Commanded fan target of zone `z`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is out of range.
     #[must_use]
     pub fn zone_fan_target(&self, z: usize) -> Rpm {
-        self.fans[z].target()
+        self.state.zone_fan_target(z)
     }
 
-    /// Commands zone `z`'s fans toward `target` (clamped to the mechanical
-    /// range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is out of range.
+    /// See [`RackState::set_zone_fan_target`].
     pub fn set_zone_fan_target(&mut self, z: usize, target: Rpm) {
-        self.fans[z].set_target(target);
+        self.state.set_zone_fan_target(z, target);
     }
 
     /// Commands every zone to the same target — the naive global rule.
     pub fn set_all_fan_targets(&mut self, target: Rpm) {
-        for fan in &mut self.fans {
-            fan.set_target(target);
-        }
+        self.state.set_all_fan_targets(target);
     }
 
     /// The executed utilizations of the latest step.
     #[must_use]
     pub fn executed(&self) -> &[Utilization] {
-        &self.executed
+        self.state.executed()
     }
 
     /// Total CPU energy so far, summed over every socket.
@@ -407,28 +269,19 @@ impl RackServer {
     /// `fans × FanPowerModel::power(speed)`.
     #[must_use]
     pub fn fan_power(&self) -> Watts {
+        let spec = self.spec();
         let mut total = 0.0;
-        for (z, fan) in self.fans.iter().enumerate() {
-            let per_fan = self.spec.server.fan_power.power(fan.speed()).value();
-            total += per_fan * self.spec.rack.zones()[z].fans as f64;
+        for (z, zone) in spec.rack.zones().iter().enumerate() {
+            let per_fan = spec.server.fan_power.power(self.zone_fan_speed(z)).value();
+            total += per_fan * zone.fans as f64;
         }
         Watts::new(total)
     }
 
-    /// The minimum fan speed for zone `z` keeping its steady-state
-    /// junctions at or below `limit` while every socket executes its share
-    /// of rack demand `u`, other zones held at their current speeds.
-    /// Allocation-free (scratch-buffered): safe to call from the epoch
-    /// loop, e.g. on a single-step descent.
+    /// See [`RackState::min_safe_zone_fan`].
     #[must_use]
     pub fn min_safe_zone_fan(&mut self, z: usize, u: Utilization, limit: Celsius) -> Option<Rpm> {
-        for i in 0..self.probe_powers.len() {
-            self.probe_powers[i] = self.spec.server.cpu_power.power(self.socket_demand(i, u));
-        }
-        for (slot, fan) in self.probe_fans.iter_mut().zip(&self.fans) {
-            *slot = fan.speed();
-        }
-        self.plant.min_safe_zone_fan(z, &self.probe_powers, &self.probe_fans, limit)
+        self.state.min_safe_zone_fan(z, u, limit)
     }
 
     /// Advances the rack by `dt` with per-socket executed utilizations:
@@ -439,44 +292,22 @@ impl RackServer {
     ///
     /// Panics if `executed` is not one entry per socket.
     pub fn step(&mut self, dt: Seconds, executed: &[Utilization]) {
-        assert_eq!(executed.len(), self.socket_powers.len(), "one utilization per socket");
-        self.executed.copy_from_slice(executed);
-        let mut p_cpu = 0.0;
-        for (slot, &u) in self.socket_powers.iter_mut().zip(executed) {
-            let p = self.spec.server.cpu_power.power(u);
-            *slot = p;
-            p_cpu += p.value();
-        }
-        for (slot, fan) in self.zone_speeds.iter_mut().zip(&mut self.fans) {
-            *slot = fan.step(dt);
-        }
-        self.plant.step(dt, &self.socket_powers, &self.zone_speeds);
-
-        self.cpu_energy.accumulate(Watts::new(p_cpu), dt);
+        let p_cpu = self.state.advance(dt, executed);
+        self.cpu_energy.accumulate(p_cpu, dt);
         self.fan_energy.accumulate(self.fan_power(), dt);
 
         self.now += dt;
+        let plant = self.state.plant();
         for (i, pipeline) in self.pipelines.iter_mut().enumerate() {
-            let _ = pipeline.observe_celsius(self.now, self.plant.junction(i));
+            let _ = pipeline.observe_celsius(self.now, plant.junction(i));
         }
-        self.refresh_measured();
+        self.record_measurements();
     }
 
-    /// Recomputes the per-zone max aggregates from the chain outputs. A
-    /// slotless zone has no sensors; it reads the ambient.
-    fn refresh_measured(&mut self) {
-        for z in 0..self.measured_zone.len() {
-            let sockets = self.plant.zone_sockets(z);
-            let Some((&first, rest)) = sockets.split_first() else {
-                self.measured_zone[z] = self.spec.server.ambient;
-                continue;
-            };
-            let mut hottest = self.pipelines[first].current();
-            for &i in rest {
-                hottest = hottest.max(self.pipelines[i].current());
-            }
-            self.measured_zone[z] = Celsius::new(hottest);
-        }
+    /// Hands the sensor chains' outputs to the controller-visible state.
+    fn record_measurements(&mut self) {
+        let pipelines = &self.pipelines;
+        self.state.record_measurements(|i, _| Celsius::new(pipelines[i].current()));
     }
 
     /// Re-initializes the rack in steady state at rack demand `u` and the
@@ -488,27 +319,12 @@ impl RackServer {
     ///
     /// Panics if `fans` is not one entry per zone.
     pub fn equilibrate(&mut self, u: Utilization, fans: &[Rpm]) {
-        assert_eq!(fans.len(), self.fans.len(), "one fan speed per zone");
-        for (z, (&fan, actuator)) in fans.iter().zip(&mut self.fans).enumerate() {
-            let clamped = self.spec.server.fan_bounds.clamp(fan);
-            actuator.snap_to(clamped);
-            self.zone_speeds[z] = clamped;
+        self.state.equilibrate(u, fans);
+        let (spec, plant) = (&self.state.spec().server, self.state.plant());
+        for (i, pipeline) in self.pipelines.iter_mut().enumerate() {
+            *pipeline = build_measurement_pipeline(spec, plant.junction(i));
         }
-        for i in 0..self.socket_count() {
-            let demand = self.socket_demand(i, u);
-            self.socket_powers[i] = self.spec.server.cpu_power.power(demand);
-            self.executed[i] = demand;
-        }
-        let powers = core::mem::take(&mut self.socket_powers);
-        let speeds = core::mem::take(&mut self.zone_speeds);
-        self.plant.equilibrate(&powers, &speeds);
-        self.socket_powers = powers;
-        self.zone_speeds = speeds;
-        for i in 0..self.socket_count() {
-            self.pipelines[i] =
-                build_measurement_pipeline(&self.spec.server, self.plant.junction(i));
-        }
-        self.refresh_measured();
+        self.record_measurements();
         self.cpu_energy.reset();
         self.fan_energy.reset();
         self.now = Seconds::new(0.0);

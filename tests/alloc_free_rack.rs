@@ -5,9 +5,14 @@
 //! coordinator arbitration, zone fan loops, trace recording and the
 //! rack-wide thermal step all run in pre-allocated storage.
 //!
+//! The daemon loop (`gfsc_daemon::Daemon::run` over `SimTelemetry`)
+//! runs the same bank against its telemetry mirror and carries the same
+//! contract.
+//!
 //! One test per binary: the counter is process-global.
 
-use gfsc_coord::{RackControl, RackLoopSim};
+use gfsc_coord::{RackControl, RackControlConfig, RackLoopSim};
+use gfsc_daemon::{Daemon, DaemonConfig, FaultPlan, SimTelemetry};
 use gfsc_rack::{RackSpec, RackTopology};
 use gfsc_units::Seconds;
 use gfsc_workload::{SquareWave, Workload};
@@ -43,23 +48,29 @@ fn allocations_for(control: RackControl, horizon: Seconds) -> u64 {
     allocations_recorded(control, horizon, None)
 }
 
-fn allocations_recorded(control: RackControl, horizon: Seconds, recorder: Option<usize>) -> u64 {
-    // Spiking workload: the single-step bank must actually boost/release
-    // (the release path runs the min-safe bisection), the E-coord and
-    // global descents must hit emergencies, and the migrator must
-    // actually shift and reclaim weight — or the probe/ledger paths go
-    // unmeasured. The imbalanced choked-rear rack (instead of the stock
-    // 1U×8) keeps one server hot enough that migrations genuinely fire.
-    let workload = Workload::builder(SquareWave::date14())
+/// Spiking workload: the single-step bank must actually boost/release
+/// (the release path runs the min-safe bisection), the E-coord and
+/// global descents must hit emergencies, and the migrator must actually
+/// shift and reclaim weight — or the probe/ledger paths go unmeasured.
+fn workload() -> Workload {
+    Workload::builder(SquareWave::date14())
         .gaussian_noise(0.04, 5)
         .spikes(1.0 / 180.0, Seconds::new(30.0), 0.8, 6)
-        .build();
-    let rack = if matches!(control, RackControl::MigratingCoordinated { .. }) {
+        .build()
+}
+
+/// The imbalanced choked-rear rack (instead of the stock 1U×8) keeps one
+/// server hot enough that migrations genuinely fire.
+fn spec_for(control: RackControl) -> RackSpec {
+    RackSpec::new(if matches!(control, RackControl::MigratingCoordinated { .. }) {
         gfsc::experiments::rack::imbalanced_choked_rack()
     } else {
         RackTopology::rack_1u_x8()
-    };
-    let mut builder = RackLoopSim::builder(RackSpec::new(rack)).workload(workload).control(control);
+    })
+}
+
+fn allocations_recorded(control: RackControl, horizon: Seconds, recorder: Option<usize>) -> u64 {
+    let mut builder = RackLoopSim::builder(spec_for(control)).workload(workload()).control(control);
     if let Some(capacity) = recorder {
         builder = builder.flight_recorder(capacity);
     }
@@ -74,6 +85,25 @@ fn allocations_recorded(control: RackControl, horizon: Seconds, recorder: Option
             "{control:?}: the armed probe must actually record"
         );
     }
+    after - before
+}
+
+/// The daemon loop over the fault-free simulated backend.
+fn daemon_allocations(control: RackControl, horizon: Seconds) -> u64 {
+    let spec = spec_for(control);
+    let cfg = DaemonConfig::new(RackControlConfig::new(control));
+    let backend = SimTelemetry::new(
+        spec.clone(),
+        workload(),
+        cfg.start_utilization,
+        cfg.start_fan,
+        FaultPlan::none(),
+    );
+    let mut daemon = Daemon::new(backend, spec, cfg);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let outcome = daemon.run(horizon);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert!(outcome.total_epochs > 0);
     after - before
 }
 
@@ -99,6 +129,20 @@ fn rack_epoch_loop_does_not_allocate_per_epoch() {
         assert!(
             long <= short + 4,
             "{control:?}: allocation count grew with horizon: {short} allocs @600s vs {long} @2400s"
+        );
+    }
+
+    // The daemon drives the same bank through its mirror: polls,
+    // actuation and the load-shift queue must not allocate per cycle
+    // either.
+    for control in RackControl::ALL {
+        let _ = daemon_allocations(control, Seconds::new(120.0));
+        let short = daemon_allocations(control, Seconds::new(600.0));
+        let long = daemon_allocations(control, Seconds::new(2400.0));
+        assert!(
+            long <= short + 4,
+            "daemon {control:?}: allocation count grew with horizon: \
+             {short} allocs @600s vs {long} @2400s"
         );
     }
 
