@@ -10,8 +10,10 @@
 //! recirculates into the adjacent zone — that is the inlet-temperature
 //! coupling a single-server model cannot express.
 //!
-//! The per-step cost is one forward/backward substitution on the rack-wide
-//! LU cache, so an 8-server rack steps at nearly the same cost as a board.
+//! The per-step cost is one forward and one back substitution over the
+//! rack-wide LU cache's elimination pattern: each die and sink row holds a
+//! handful of entries, so a step costs on the order of the link count, not
+//! the square of the node count.
 
 use crate::{PlenumDef, RackTopology, ServerSlot};
 use gfsc_server::PlantModel;

@@ -14,11 +14,12 @@
 //! packed in factor-group order each step: every group's columns are
 //! contiguous, so the multi-lane substitution reads each factor entry once
 //! per *group* and streams dense slot runs underneath it. The per-lane
-//! arithmetic replays [`RcNetwork::step`]'s exact operation order — same
-//! assembly, same factorization, same substitution guards — so a batched
-//! trajectory is **bitwise identical** to stepping each lane's network
-//! alone. That contract is what lets the sweep engine swap the batched
-//! path in underneath the repo's parallel==serial determinism guarantee.
+//! arithmetic replays the dense LU path that [`RcNetwork::step`]'s pattern
+//! kernels equal bit for bit — same assembly, same factorization, same
+//! substitution guards — so a batched trajectory is **bitwise identical**
+//! to stepping each lane's network alone. That contract is what lets the
+//! sweep engine swap the batched path in underneath the repo's
+//! parallel==serial determinism guarantee.
 //!
 //! Factor resolution is two-tier. Each lane's network carries a memo of the
 //! factor it used last (generation-stamped, validated against the network's
@@ -111,7 +112,7 @@ pub struct BatchRcNetwork {
     /// Link endpoint structure captured at construction; every `step`
     /// asserts the borrowed lanes still match it.
     links: Vec<(Endpoint, Endpoint)>,
-    /// `(node, boundary, link index)` for every node↔boundary link, in link
+    /// `(node, link, boundary)` for every node↔boundary link, in link
     /// order — the right-hand-side boundary injection without re-matching
     /// endpoints per lane per step.
     boundary_links: Vec<(usize, usize, usize)>,
@@ -177,15 +178,7 @@ impl BatchRcNetwork {
         let nodes = template.node_count();
         let lanes = nets.len();
         let links = template.links_raw().iter().map(|l| (l.a, l.b)).collect::<Vec<_>>();
-        let boundary_links = links
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, &(a, b))| match (a, b) {
-                (Endpoint::Node(i), Endpoint::Boundary(k))
-                | (Endpoint::Boundary(k), Endpoint::Node(i)) => Some((i, k, idx)),
-                _ => None,
-            })
-            .collect();
+        let boundary_links = template.boundary_links_raw().to_vec();
 
         // Varying-parameter census: a capacitance or conductance belongs in
         // the signature iff it differs across lanes now (different
@@ -315,7 +308,7 @@ impl BatchRcNetwork {
         let mut cached =
             CachedFactor { sig: self.sig.clone(), factor: vec![0.0; n * n], pivots: vec![0; n] };
         assemble_matrix(caps, links, dt, &mut cached.factor);
-        lu_factorize(&mut cached.factor, &mut cached.pivots, n);
+        lu_factorize(&mut cached.factor, &mut cached.pivots, n, 0);
         let idx = self.factors.len();
         self.factors.push(cached);
         self.index.entry(hash).or_default().push(idx);
@@ -442,7 +435,7 @@ impl BatchRcNetwork {
             }
             let bt = net.boundary_temps_raw();
             let links = net.links_raw();
-            for &(i, k, l) in &self.boundary_links {
+            for &(i, l, k) in &self.boundary_links {
                 self.state[i * b + slot] += links[l].conductance * bt[k];
             }
         }
@@ -474,8 +467,9 @@ impl BatchRcNetwork {
 }
 
 /// Multi-column forward/back substitution: solves `L·U·x = P·b` for every
-/// column in the contiguous slot range `[lo, hi)`, replaying the scalar
-/// `lu_solve` arithmetic per column — same operation order (columns
+/// column in the contiguous slot range `[lo, hi)`, replaying the dense
+/// `lu_solve` arithmetic per column, which the scalar step's pattern
+/// substitution equals bit for bit — same operation order (columns
 /// ascending in the forward pass, `k` ascending in each back-substitution
 /// row) and the same zero guards, which matter bitwise (`x -= 0.0 * y` can
 /// flip a signed zero). Contiguity is the point: every factor entry is
@@ -499,11 +493,11 @@ fn solve_columns(
             }
         }
     }
-    // Forward substitution. Scalar order per column: for each (col, row)
+    // Forward substitution. `lu_solve`'s order per column: for each (col, row)
     // pair in lexicographic order apply `b[row] -= factor · b[col]`,
     // skipped when `b[col] == 0` or `factor == 0`. `b[col]` is never
     // written by the rows below it, so snapshotting it once per `col` is
-    // the same value the scalar path re-reads. The snapshot also decides
+    // the same value `lu_solve` re-reads. The snapshot also decides
     // the `b[col] == 0` guard for the whole column: a zero-free snapshot
     // (the overwhelmingly common case — these are temperatures) runs the
     // guard-free kernel, which performs the identical operation sequence
@@ -531,7 +525,7 @@ fn solve_columns(
             }
         }
     }
-    // Back-substitution, `k` ascending per row exactly as the scalar path
+    // Back-substitution, `k` ascending per row exactly as `lu_solve`
     // (which applies every term unguarded, so no zero-skip here either).
     for row in (0..n).rev() {
         sums[lo..hi].copy_from_slice(&state[row * b + lo..row * b + hi]);

@@ -5,8 +5,9 @@
 //! optional chassis spreader) is compiled into a cached-factorization
 //! [`crate::RcNetwork`], every socket's sink→ambient link moves with the
 //! shared fan speed through its (possibly derated) [`crate::HeatSinkLaw`],
-//! and the per-step work is one forward/backward substitution — the LU
-//! cache makes N-node stepping as cheap as the hand-rolled pair.
+//! and the per-step work is one forward and one back substitution over the
+//! network's elimination pattern, re-factorized on that pattern only when
+//! the fan speed or the step size changes.
 
 use crate::{
     BoundaryId, FanZoneMap, HeatSinkLaw, NetworkError, NodeId, ProbeScratch, RcNetwork,

@@ -255,6 +255,15 @@ impl RcNetworkBuilder {
         }
 
         let pattern = SolvePattern::new(n, &links);
+        let boundary_links = links
+            .iter()
+            .enumerate()
+            .filter_map(|(l, link)| match (link.a, link.b) {
+                (Endpoint::Node(i), Endpoint::Boundary(k))
+                | (Endpoint::Boundary(k), Endpoint::Node(i)) => Some((i, l, k)),
+                _ => None,
+            })
+            .collect();
         Ok(RcNetwork {
             node_names: self.node_names,
             capacitances: self.capacitances,
@@ -263,14 +272,15 @@ impl RcNetworkBuilder {
             boundary_names: self.boundary_names,
             boundary_temps: self.boundary_temps,
             links,
+            boundary_links,
             pattern,
             factor: vec![0.0; n * n],
             pivots: vec![0; n],
+            factor_path: SolvePath::DenseFallback,
             factored_dt: f64::NAN,
             matrix_dirty: true,
             params_version: 0,
             changed_links: Vec::new(),
-            rhs: vec![0.0; n],
             batch_memo: (0, 0, 0, 0),
         })
     }
@@ -283,9 +293,12 @@ impl RcNetworkBuilder {
 /// boundary values — so [`RcNetwork::step`] caches its LU factorization
 /// and re-factorizes only when `dt` changes or a conductance is
 /// re-parameterized (the common case in the fan loop: only the
-/// sink→ambient link moves with fan speed). All per-step work runs in
-/// pre-allocated scratch buffers; steady-state stepping performs **zero**
-/// heap allocations.
+/// sink→ambient link moves with fan speed). `C/dt` only adds to the
+/// diagonal, so the matrix has exactly `G`'s structure, and both the
+/// factorization and the per-step substitution run over the network's
+/// [`SolvePattern`]: a step costs on the order of the link count plus
+/// fill-in, not `n²`. Stepping works in place in pre-allocated buffers and
+/// performs **zero** heap allocations.
 #[derive(Debug, Clone)]
 pub struct RcNetwork {
     node_names: Vec<String>,
@@ -295,14 +308,21 @@ pub struct RcNetwork {
     boundary_names: Vec<String>,
     boundary_temps: Vec<f64>,
     links: Vec<Link>,
-    /// Where the steady-state elimination can create nonzeros, fixed by
-    /// the link table at build time (see [`SolvePattern`]).
+    /// `(node, link, boundary)` for every node↔boundary link, in link
+    /// order: the step's right-hand-side boundary terms.
+    boundary_links: Vec<(usize, usize, usize)>,
+    /// Where elimination of `G` (and of `C/dt + G`, which has the same
+    /// structure) can create nonzeros, fixed by the link table at build
+    /// time (see [`SolvePattern`]).
     pattern: SolvePattern,
     /// LU factors of `C/dt + G` (unit-lower multipliers below the
     /// diagonal, upper triangle above), row-major `n × n`.
     factor: Vec<f64>,
     /// Partial-pivoting row swaps recorded during factorization.
     pivots: Vec<usize>,
+    /// Whether `factor` was factorized on `pattern` (no row swaps, every
+    /// entry outside the pattern an exact `+0.0`) or finished densely.
+    factor_path: SolvePath,
     /// The `dt` the cached factorization was assembled for (NaN = none).
     factored_dt: f64,
     /// Set by conductance mutators; forces re-factorization on next step.
@@ -319,8 +339,6 @@ pub struct RcNetwork {
     /// as-built values — the batched stepper exploits that to sign a
     /// lane's matrix by just these links instead of the full table.
     changed_links: Vec<u32>,
-    /// Right-hand-side / solution scratch.
-    rhs: Vec<f64>,
     /// [`crate::BatchRcNetwork`]'s per-lane factor memo, carried by the
     /// network itself so lanes may be dropped, cloned or re-ordered without
     /// aliasing another lane's factor: `(batch generation, factor index,
@@ -499,10 +517,14 @@ impl RcNetwork {
     ///
     /// The system matrix is factorized lazily and reused across steps (see
     /// the type-level docs); with an unchanged `dt` and conductances each
-    /// step is one forward/backward substitution in pre-allocated scratch —
-    /// no assembly, no elimination, no heap allocation. Results are
-    /// identical to [`RcNetwork::step_uncached`]: the cached path replays
-    /// the exact same elimination arithmetic from the stored factors.
+    /// step is one forward and one back substitution over the pattern's
+    /// entries, in place — no assembly, no elimination, no heap allocation.
+    /// Results are identical to [`RcNetwork::step_uncached`] bit for bit,
+    /// with one exception: an exact-zero temperature may carry the other
+    /// sign. The cached path replays the uncached elimination's arithmetic
+    /// from the stored factors, except that its forward substitution skips
+    /// a zero right-hand-side entry where the uncached elimination
+    /// subtracts `factor · 0.0`, which can only flip the sign of a zero.
     ///
     /// # Panics
     ///
@@ -514,18 +536,19 @@ impl RcNetwork {
         }
         let n = self.node_names.len();
         let inv_dt = 1.0 / dt.value();
-        for i in 0..n {
-            self.rhs[i] = self.capacitances[i] * inv_dt * self.temperatures[i] + self.powers[i];
+        // The right-hand side overwrites the temperatures: entry `i` reads
+        // only node `i`'s old temperature.
+        let b = &mut self.temperatures;
+        for ((t, &c), &p) in b.iter_mut().zip(&self.capacitances).zip(&self.powers) {
+            *t = c * inv_dt * *t + p;
         }
-        for link in &self.links {
-            if let (Endpoint::Node(i), Endpoint::Boundary(k))
-            | (Endpoint::Boundary(k), Endpoint::Node(i)) = (link.a, link.b)
-            {
-                self.rhs[i] += link.conductance * self.boundary_temps[k];
-            }
+        for &(i, l, k) in &self.boundary_links {
+            b[i] += self.links[l].conductance * self.boundary_temps[k];
         }
-        lu_solve(&self.factor, &self.pivots, &mut self.rhs, n);
-        self.temperatures.copy_from_slice(&self.rhs);
+        match self.factor_path {
+            SolvePath::Pattern => lu_solve_pattern(&self.pattern, &self.factor, b, n),
+            SolvePath::DenseFallback => lu_solve(&self.factor, &self.pivots, b, n),
+        }
     }
 
     /// The reference integrator: assembles and eliminates the full system
@@ -569,11 +592,12 @@ impl RcNetwork {
     }
 
     /// Assembles `C/dt + G` into the factor buffer and LU-factorizes it in
-    /// place with partial pivoting.
+    /// place with partial pivoting, on the pattern while it holds.
     fn refactorize(&mut self, dt: f64) {
         let n = self.node_names.len();
         assemble_matrix(&self.capacitances, &self.links, dt, &mut self.factor);
-        lu_factorize(&mut self.factor, &mut self.pivots, n);
+        self.factor_path =
+            lu_factorize_pattern(&self.pattern, &mut self.factor, &mut self.pivots, n);
         self.factored_dt = dt;
         self.matrix_dirty = false;
     }
@@ -763,6 +787,12 @@ impl RcNetwork {
         &self.links
     }
 
+    /// `(node, link, boundary)` for every node↔boundary link, in link
+    /// order.
+    pub(crate) fn boundary_links_raw(&self) -> &[(usize, usize, usize)] {
+        &self.boundary_links
+    }
+
     /// Matrix-parameter mutation counter (see the field docs) — the batched
     /// stepper's cheap "did anything change since I last looked?" probe.
     pub(crate) fn params_version(&self) -> u64 {
@@ -822,11 +852,11 @@ pub(crate) fn assemble_matrix(capacitances: &[f64], links: &[Link], dt: f64, a: 
 
 /// LU-factorizes row-major `a` (length `n²`) in place with partial
 /// pivoting: unit-lower multipliers land below the diagonal, the upper
-/// triangle above; `piv[col]` records the row swapped into `col`. The
-/// assembled thermal matrices are strictly diagonally dominant, hence
-/// non-singular.
-pub(crate) fn lu_factorize(a: &mut [f64], piv: &mut [usize], n: usize) {
-    for col in 0..n {
+/// triangle above; `piv[col]` records the row swapped into `col`. Columns
+/// before `from` are taken as already factorized. The assembled thermal
+/// matrices are strictly diagonally dominant, hence non-singular.
+pub(crate) fn lu_factorize(a: &mut [f64], piv: &mut [usize], n: usize, from: usize) {
+    for col in from..n {
         let mut pivot = col;
         for row in (col + 1)..n {
             if a[row * n + col].abs() > a[pivot * n + col].abs() {
@@ -856,7 +886,8 @@ pub(crate) fn lu_factorize(a: &mut [f64], piv: &mut [usize], n: usize) {
 
 /// Solves `L·U·x = P·b` from [`lu_factorize`]'s output, overwriting `b`
 /// with `x`. Allocation-free; the substitution applies the same arithmetic,
-/// in the same order, as eliminating `b` alongside the matrix would.
+/// in the same order, as eliminating `b` alongside the matrix would, except
+/// that a zero `b[col]` is not propagated.
 fn lu_solve(a: &[f64], piv: &[usize], b: &mut [f64], n: usize) {
     for (col, &pivot) in piv.iter().enumerate() {
         if pivot != col {
@@ -877,13 +908,7 @@ fn lu_solve(a: &[f64], piv: &[usize], b: &mut [f64], n: usize) {
             }
         }
     }
-    for row in (0..n).rev() {
-        let mut sum = b[row];
-        for k in (row + 1)..n {
-            sum -= a[row * n + k] * b[k];
-        }
-        b[row] = sum / a[row * n + row];
-    }
+    back_substitute_dense(a, b, n);
 }
 
 /// Caller-owned buffers of [`RcNetwork::steady_state_with_into`]: the
@@ -943,7 +968,9 @@ impl ProbeScratch {
     }
 }
 
-/// The symbolic elimination pattern of a network's steady-state matrix.
+/// The symbolic elimination pattern of a network's matrices: the
+/// steady-state `G` and the transient `C/dt + G`, whose `C/dt` only adds
+/// to the diagonal.
 ///
 /// The conductance matrix `G` has a nonzero `(i, j)` only where a link
 /// joins nodes `i` and `j`, so its structure is fixed by the link table,
@@ -1019,12 +1046,12 @@ impl SolvePattern {
     }
 }
 
-/// Which elimination [`solve_pattern`] ended up running.
+/// Which elimination a pattern kernel ended up running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SolvePath {
     /// The pattern held from the first column to the last.
     Pattern,
-    /// The solve handed the rest of the work to the dense path.
+    /// The kernel handed the rest of the work to the dense path.
     DenseFallback,
 }
 
@@ -1032,45 +1059,36 @@ enum SolvePath {
 /// `pattern`) with exactly the arithmetic of [`solve_dense`], overwriting
 /// `b` with `x` — allocation-free.
 ///
-/// Per column it runs the same pivot search, the same multipliers, the
+/// Per column it makes the same pivot decision, the same multipliers, the
 /// same `factor == 0` skips and the same updates, in the same order, but
 /// only over the pattern's entries. What it leaves out is what the dense
 /// solve computes on structural zeros:
 ///
-/// - a zero never wins the pivot search's strict `>`;
+/// - the dense pivot search swaps rows exactly when some entry below the
+///   diagonal beats it under the strict `|entry| > |diag|`, which a zero
+///   never does;
 /// - an update `x -= f · 0.0` with a finite `f` leaves `x` unchanged,
 ///   because no matrix entry is ever `-0.0` (assembly and elimination only
-///   subtract from `+0.0`). Without a row swap `|f| ≤ 1` or `f` is NaN,
-///   and a NaN `f` turns its row's diagonal NaN, which both paths later
-///   report as a singular matrix;
+///   subtract from `+0.0`), and [`pattern_pivot`] admits only finite
+///   multipliers;
 /// - in back-substitution, a skipped `sum -= 0.0 · x_k` with a finite
 ///   `x_k` can at most flip the sign of a zero sum, so a row whose result
-///   is zero is redone densely.
+///   is zero is redone densely ([`back_substitute_pattern`]).
 ///
 /// The dense path takes over, from the current state, where those
 /// arguments fail: at a pivot that would swap rows (never for the
 /// diagonally dominant thermal matrices), at a singular pivot (the dense
-/// path then reports it exactly as before), and above a non-finite solved
-/// temperature.
+/// path then reports it exactly as before) and at a non-finite entry of
+/// the pivot column ([`pattern_pivot`]), and above a non-finite solved
+/// temperature ([`back_substitute_pattern`]).
 fn solve_pattern(pattern: &SolvePattern, a: &mut [f64], b: &mut [f64], n: usize) -> SolvePath {
     for col in 0..n {
         let nonzero = pattern.upper(col);
-        let mut pivot = col;
-        for &row in nonzero {
-            let row = row as usize;
-            if a[row * n + col].abs() > a[pivot * n + col].abs() {
-                pivot = row;
-            }
-        }
-        let diag = a[col * n + col];
-        // The dense path's singularity test (`|diag| > 1e-30` fails), NaN
-        // included.
-        let singular = diag.is_nan() || diag.abs() <= 1e-30;
-        if pivot != col || singular {
+        let Some(diag) = pattern_pivot(nonzero, a, n, col) else {
             eliminate_dense(a, b, n, col);
             back_substitute_dense(a, b, n);
             return SolvePath::DenseFallback;
-        }
+        };
         for &row in nonzero {
             let row = row as usize;
             let factor = a[row * n + col] / diag;
@@ -1084,6 +1102,97 @@ fn solve_pattern(pattern: &SolvePattern, a: &mut [f64], b: &mut [f64], n: usize)
             b[row] -= factor * b[col];
         }
     }
+    back_substitute_pattern(pattern, a, b, n)
+}
+
+/// LU-factorizes `a` (row-major, length `n²`, structure within `pattern`)
+/// in place with exactly the arithmetic of [`lu_factorize`] on the
+/// pattern's entries — the same pivot decision, multipliers, `factor == 0`
+/// skips and update order; see [`solve_pattern`] for why the entries left
+/// out cannot differ. Returns [`SolvePath::Pattern`] when every column
+/// stayed on the pattern: then no row was swapped, every entry outside the
+/// pattern is an exact `+0.0` and [`lu_solve_pattern`] solves with the
+/// factors. Otherwise [`lu_factorize`] finished the factorization from
+/// the column [`pattern_pivot`] refused (panicking on a singular pivot
+/// exactly as before) and the factors need [`lu_solve`].
+fn lu_factorize_pattern(
+    pattern: &SolvePattern,
+    a: &mut [f64],
+    piv: &mut [usize],
+    n: usize,
+) -> SolvePath {
+    for col in 0..n {
+        let nonzero = pattern.upper(col);
+        let Some(diag) = pattern_pivot(nonzero, a, n, col) else {
+            lu_factorize(a, piv, n, col);
+            return SolvePath::DenseFallback;
+        };
+        piv[col] = col;
+        for &row in nonzero {
+            let row = row as usize;
+            let factor = a[row * n + col] / diag;
+            a[row * n + col] = factor;
+            if factor == 0.0 {
+                continue;
+            }
+            for &k in nonzero {
+                let k = k as usize;
+                a[row * n + k] -= factor * a[col * n + k];
+            }
+        }
+    }
+    SolvePath::Pattern
+}
+
+/// Solves `L·U·x = b` from [`lu_factorize_pattern`]'s on-pattern factors,
+/// overwriting `b` with `x`: [`lu_solve`]'s arithmetic over the pattern's
+/// entries, bit for bit. The multipliers outside the pattern are zeros,
+/// which the dense forward substitution skips too.
+fn lu_solve_pattern(pattern: &SolvePattern, a: &[f64], b: &mut [f64], n: usize) {
+    for col in 0..n {
+        let bc = b[col];
+        if bc == 0.0 {
+            continue;
+        }
+        for &row in pattern.upper(col) {
+            let row = row as usize;
+            let factor = a[row * n + col];
+            if factor != 0.0 {
+                b[row] -= factor * bc;
+            }
+        }
+    }
+    back_substitute_pattern(pattern, a, b, n);
+}
+
+/// The diagonal of column `col` if its elimination can stay on the
+/// pattern: the diagonal is finite and passes the dense path's
+/// singularity test (`|diag| > 1e-30`), and no entry below it (`nonzero`,
+/// the column's pattern rows) has `|entry| > |diag|`, so partial pivoting
+/// keeps the diagonal. A NaN entry fails that comparison too, so every
+/// multiplier is finite, `|f| ≤ 1`. `None` hands the rest of the work to
+/// the dense path.
+fn pattern_pivot(nonzero: &[u32], a: &[f64], n: usize, col: usize) -> Option<f64> {
+    let diag = a[col * n + col];
+    let mut keeps = diag.is_finite() && diag.abs() > 1e-30;
+    for &row in nonzero {
+        // Not short-circuited: the scan is a few entries, a branch costs more.
+        keeps &= a[row as usize * n + col].abs() <= diag.abs();
+    }
+    keeps.then_some(diag)
+}
+
+/// Back-substitution over the upper triangle's pattern entries, `b[k]` for
+/// `k > row` already solved — the one copy the probe and the step share.
+/// A skipped `0.0 · x_k` can flip the sign of a zero sum, so a zero result
+/// is redone densely; above a non-finite result (`0.0 · x_k` is NaN) every
+/// row is solved densely, and the path reports the fallback.
+fn back_substitute_pattern(
+    pattern: &SolvePattern,
+    a: &[f64],
+    b: &mut [f64],
+    n: usize,
+) -> SolvePath {
     let mut path = SolvePath::Pattern;
     for row in (0..n).rev() {
         let on_pattern = (path == SolvePath::Pattern).then(|| {
@@ -1415,10 +1524,31 @@ mod tests {
         let (mut da, mut db) = (a.to_vec(), b.to_vec());
         let path = solve_pattern(&chain_pattern(), &mut pa, &mut pb, 3);
         solve_dense(&mut da, &mut db, 3);
-        for (p, d) in pb.iter().zip(&db) {
-            assert_eq!(p.to_bits(), d.to_bits(), "pattern {pb:?} vs dense {db:?}");
-        }
+        assert_bits_eq(&pb, &db);
         path
+    }
+
+    /// [`solve_both`] for the step's kernels: the pattern factorization and
+    /// its substitution against [`lu_factorize`] + [`lu_solve`]; returns
+    /// the factorization's path after checking bit equality.
+    fn factor_both(a: &[f64], b: &[f64]) -> SolvePath {
+        let (mut pa, mut pb, mut ppiv) = (a.to_vec(), b.to_vec(), [0; 3]);
+        let (mut da, mut db, mut dpiv) = (a.to_vec(), b.to_vec(), [0; 3]);
+        let path = lu_factorize_pattern(&chain_pattern(), &mut pa, &mut ppiv, 3);
+        match path {
+            SolvePath::Pattern => lu_solve_pattern(&chain_pattern(), &pa, &mut pb, 3),
+            SolvePath::DenseFallback => lu_solve(&pa, &ppiv, &mut pb, 3),
+        }
+        lu_factorize(&mut da, &mut dpiv, 3, 0);
+        lu_solve(&da, &dpiv, &mut db, 3);
+        assert_bits_eq(&pb, &db);
+        path
+    }
+
+    fn assert_bits_eq(pattern: &[f64], dense: &[f64]) {
+        for (p, d) in pattern.iter().zip(dense) {
+            assert_eq!(p.to_bits(), d.to_bits(), "pattern {pattern:?} vs dense {dense:?}");
+        }
     }
 
     #[test]
@@ -1442,6 +1572,7 @@ mod tests {
     fn diagonally_dominant_solve_stays_on_the_pattern() {
         let a = [4.0, -1.0, 0.0, -1.0, 3.0, -1.0, 0.0, -1.0, 2.0];
         assert_eq!(solve_both(&a, &[10.0, 0.0, 5.0]), SolvePath::Pattern);
+        assert_eq!(factor_both(&a, &[10.0, 0.0, 5.0]), SolvePath::Pattern);
     }
 
     #[test]
@@ -1449,10 +1580,21 @@ mod tests {
         // Column 0 wants row 1 as its pivot (|3| > |1|).
         let a = [1.0, 2.0, 0.0, 3.0, 1.0, 1.0, 0.0, 1.0, 4.0];
         assert_eq!(solve_both(&a, &[1.0, 2.0, 3.0]), SolvePath::DenseFallback);
+        assert_eq!(factor_both(&a, &[1.0, 2.0, 3.0]), SolvePath::DenseFallback);
         // Column 0 pivots in place, then column 1 wants a swap: the dense
         // path resumes from the pattern's partial elimination.
         let a = [4.0, 1.0, 0.0, 1.0, 0.1, 5.0, 0.0, 5.0, 1.0];
         assert_eq!(solve_both(&a, &[1.0, 2.0, 3.0]), SolvePath::DenseFallback);
+        assert_eq!(factor_both(&a, &[1.0, 2.0, 3.0]), SolvePath::DenseFallback);
+    }
+
+    #[test]
+    fn non_finite_pivot_column_falls_back_to_dense_and_matches_the_oracle() {
+        // An infinite diagonal passes the singularity test; the column
+        // leaves the pattern all the same.
+        let a = [f64::INFINITY, -1.0, 0.0, -1.0, 3.0, -1.0, 0.0, -1.0, 2.0];
+        assert_eq!(solve_both(&a, &[1.0, 2.0, 3.0]), SolvePath::DenseFallback);
+        assert_eq!(factor_both(&a, &[1.0, 2.0, 3.0]), SolvePath::DenseFallback);
     }
 
     #[test]
@@ -1461,6 +1603,8 @@ mod tests {
         // temperature stop being harmless.
         let a = [4.0, -1.0, 0.0, -1.0, 3.0, -1.0, 0.0, -1.0, 2.0];
         assert_eq!(solve_both(&a, &[1.0, 2.0, f64::INFINITY]), SolvePath::DenseFallback);
+        // The factors stay on the pattern; the back-substitution leaves it.
+        assert_eq!(factor_both(&a, &[1.0, 2.0, f64::INFINITY]), SolvePath::Pattern);
     }
 
     #[test]
@@ -1470,6 +1614,8 @@ mod tests {
         let a = [4.0, -1.0, 0.0, -1.0, 3.0, -1.0, 0.0, -1.0, 2.0];
         assert_eq!(solve_both(&a, &[-0.0, -0.0, -0.0]), SolvePath::Pattern);
         assert_eq!(solve_both(&a, &[-0.0, 0.0, -0.0]), SolvePath::Pattern);
+        assert_eq!(factor_both(&a, &[-0.0, -0.0, -0.0]), SolvePath::Pattern);
+        assert_eq!(factor_both(&a, &[-0.0, 0.0, -0.0]), SolvePath::Pattern);
     }
 
     #[test]
@@ -1491,6 +1637,114 @@ mod tests {
         let mut a = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
         let mut b = [1.0, 1.0, 1.0];
         let _ = solve_pattern(&chain_pattern(), &mut a, &mut b, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "singular thermal matrix")]
+    fn singular_pivot_reports_like_the_dense_factorization() {
+        // Singular in the last column, where no later pivot would notice.
+        let mut a = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0];
+        let _ = lu_factorize_pattern(&chain_pattern(), &mut a, &mut [0; 3], 3);
+    }
+
+    /// A NaN below the first pivot, on a star whose hub (node 3) comes
+    /// last. The dense elimination's NaN multiplier turns all of row 3 NaN,
+    /// so column 1's zero diagonal finds no pivot and the matrix is
+    /// reported singular. Staying on the pattern would keep row 3's finite
+    /// 5.0 in column 1, swap it in at the singular pivot and finish
+    /// without a panic.
+    fn nan_entry_system() -> (SolvePattern, [f64; 16], [f64; 4]) {
+        let link = |a, b| Link { a: Endpoint::Node(a), b: Endpoint::Node(b), conductance: 1.0 };
+        let pattern = SolvePattern::new(4, &[link(0, 3), link(1, 3), link(2, 3)]);
+        #[rustfmt::skip]
+        let a = [
+            1.0, 0.0, 0.0, 1.0,
+            0.0, 0.0, 0.0, 1.0,
+            0.0, 0.0, 1.0, 1.0,
+            f64::NAN, 5.0, 1.0, 1.0,
+        ];
+        (pattern, a, [1.0; 4])
+    }
+
+    #[test]
+    #[should_panic(expected = "singular thermal matrix")]
+    fn nan_entry_reports_like_the_dense_solve() {
+        let (pattern, mut a, mut b) = nan_entry_system();
+        let _ = solve_pattern(&pattern, &mut a, &mut b, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "singular thermal matrix")]
+    fn nan_entry_reports_like_the_dense_factorization() {
+        let (pattern, mut a, _) = nan_entry_system();
+        let _ = lu_factorize_pattern(&pattern, &mut a, &mut [0; 4], 4);
+    }
+
+    #[test]
+    fn pivoting_matrix_steps_on_the_dense_path_and_matches_the_oracle() {
+        // Positive capacitances and resistances keep every network built
+        // through the API diagonally dominant; a negative conductance, set
+        // behind the API, makes column 0's pivot search pick row 1.
+        let build = || {
+            let mut net = RcNetworkBuilder::new()
+                .node("die", JoulesPerKelvin::new(1.0), Celsius::new(30.0))
+                .node("sink", JoulesPerKelvin::new(300.0), Celsius::new(30.0))
+                .boundary("ambient", Celsius::new(30.0))
+                .link("die", "sink", KelvinPerWatt::new(0.1))
+                .link("die", "ambient", KelvinPerWatt::new(1.0))
+                .link("sink", "ambient", KelvinPerWatt::new(0.25))
+                .build()
+                .unwrap();
+            net.links[1].conductance = -5.0;
+            net
+        };
+        let (mut cached, mut naive) = (build(), build());
+        for k in 0..5 {
+            cached.step(Seconds::new(1.0));
+            naive.step_uncached(Seconds::new(1.0));
+            assert_eq!(cached.factor_path, SolvePath::DenseFallback);
+            for (c, u) in cached.temperatures.iter().zip(&naive.temperatures) {
+                assert_eq!(c.to_bits(), u.to_bits(), "diverged at step {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_topology_preset_steps_on_the_pattern() {
+        use crate::{HeatSinkLaw, MultiSocketPlant, PlantCalibration, Topology};
+        use gfsc_units::Rpm;
+        let cal = PlantCalibration {
+            ambient: Celsius::new(30.0),
+            law: HeatSinkLaw::date14(),
+            sink_tau: Seconds::new(60.0),
+            tau_speed: Rpm::new(8500.0),
+            r_jc: KelvinPerWatt::new(0.10),
+            die_tau: Seconds::new(0.1),
+        };
+        let presets = [
+            Topology::single_socket(),
+            Topology::dual_socket(),
+            Topology::dual_socket_imbalanced(),
+            Topology::quad_socket(),
+            Topology::blade_chassis(),
+            Topology::finned(2, 8),
+            Topology::finned(2, 32),
+        ];
+        for topology in &presets {
+            let mut plant = MultiSocketPlant::new(&cal, topology).unwrap();
+            let powers = vec![Watts::new(120.0); plant.socket_count()];
+            for dt in [0.1, 0.5, 1.0, 30.0] {
+                for fan in [Rpm::new(600.0), Rpm::new(8500.0)] {
+                    plant.step(Seconds::new(dt), &powers, fan);
+                    assert_eq!(
+                        plant.network().factor_path,
+                        SolvePath::Pattern,
+                        "{} at dt = {dt} s, fan {fan}",
+                        topology.label()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
