@@ -4,11 +4,6 @@
 //!   `table1` … `table3`, `ablations`) that prints the reproduced
 //!   rows/series next to the paper's published values, plus `perf_report`
 //!   (see below).
-//! - `benches/`: Criterion benchmarks timing the regeneration of each
-//!   artifact (at reduced horizons) plus microbenchmarks of the simulation
-//!   substrates, including `hot_paths` — the regression guards for the
-//!   cached-factorization `RcNetwork::step` and handle-based
-//!   `TraceSet` recording.
 //!
 //! # Running the sweep engine
 //!
@@ -28,12 +23,9 @@
 //! `GFSC_SWEEP_THREADS` caps the worker count (1 forces the serial path);
 //! the default is `std::thread::available_parallelism()`.
 //!
-//! # Running the benches and the perf snapshot
+//! # Running the perf snapshot
 //!
 //! ```text
-//! cargo bench -p gfsc-bench --bench hot_paths      # hot-path guards
-//! cargo bench -p gfsc-bench                        # everything
-//! GFSC_BENCH_FAST=1 cargo bench -p gfsc-bench      # smoke mode (CI)
 //! cargo run --release -p gfsc-bench --bin perf_report
 //!     [--table3-horizon 7200] [--out BENCH_custom.json]
 //! ```
@@ -52,8 +44,7 @@ use gfsc_thermal::{RcNetwork, RcNetworkBuilder};
 use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Watts};
 
 /// The eight channels `ClosedLoopSim` records per CPU epoch, in recording
-/// order — shared by the `hot_paths` bench and `perf_report` so both
-/// measure the same workload.
+/// order — the workload of `perf_report`'s trace-recording timings.
 pub const EPOCH_CHANNELS: [&str; 8] = [
     "u_demand",
     "u_cap",
@@ -67,9 +58,8 @@ pub const EPOCH_CHANNELS: [&str; 8] = [
 
 /// A chain of `n` capacitive nodes ending at an ambient boundary, with the
 /// last link playing the fan-dependent sink→ambient role and 120 W
-/// injected at the hot end — the shared benchmark topology for
-/// `RcNetwork::step` measurements (one definition, so the criterion guard
-/// and the `BENCH_*.json` snapshot stay comparable).
+/// injected at the hot end — the benchmark topology of `perf_report`'s
+/// `RcNetwork::step` measurements.
 ///
 /// # Panics
 ///

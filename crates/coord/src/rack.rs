@@ -36,7 +36,7 @@ use crate::{
 use gfsc_control::GainSchedule;
 use gfsc_obs::{EventKind, FlightSnapshot, Recorder, Source};
 use gfsc_rack::{RackServer, RackSpec};
-use gfsc_sim::{Clock, Periodic, TraceSet};
+use gfsc_sim::{EpochGate, StepGrid, TraceSet};
 use gfsc_units::{total_max, total_min, Bounds, Celsius, Joules, Rpm, Seconds, Utilization};
 use gfsc_workload::Workload;
 
@@ -695,34 +695,21 @@ impl RackLoopSim {
     /// Runs the closed loop for `horizon` simulated seconds.
     pub fn run(&mut self, horizon: Seconds) -> RackRunOutcome {
         let spec = self.server.spec().server.clone();
-        let mut clock = Clock::new(spec.sim_dt);
-        let mut cpu_epoch = Periodic::new(spec.cpu_control_interval);
-        let mut fan_epoch = Periodic::new(spec.fan_control_interval);
+        let mut gate = EpochGate::new(spec.cpu_control_interval, spec.fan_control_interval);
         let mut traces = TraceSet::new();
-        let epochs = (horizon.value() / spec.cpu_control_interval.value()).floor() as usize + 2;
         let channels = RackChannels::resolve(
             &mut traces,
-            epochs,
+            gate.trace_capacity(horizon),
             self.server.zone_count(),
             self.server.socket_count(),
         );
 
-        let steps = clock.steps_for(horizon);
-        for _ in 0..=steps {
-            let now = clock.now();
-            if cpu_epoch.is_due(now) {
+        for now in StepGrid::new(spec.sim_dt, horizon) {
+            if let Some(fan_due) = gate.due(now) {
                 let demand = self.workload.sample(now);
-                self.bank.epoch(
-                    &mut self.server,
-                    now,
-                    demand,
-                    fan_epoch.is_due(now),
-                    &mut traces,
-                    &channels,
-                );
+                self.bank.epoch(&mut self.server, now, demand, fan_due, &mut traces, &channels);
             }
             self.server.step(spec.sim_dt, self.bank.executed());
-            clock.tick();
         }
 
         RackRunOutcome {

@@ -6,7 +6,7 @@ use crate::{
 };
 use gfsc_sensors::MovingAverage;
 use gfsc_server::{PerformanceMonitor, Server, ServerSpec};
-use gfsc_sim::{ChannelId, Clock, Periodic, TraceSet};
+use gfsc_sim::{ChannelId, EpochGate, StepGrid, TraceSet};
 use gfsc_units::{Joules, Rpm, Seconds, Utilization};
 use gfsc_workload::Workload;
 
@@ -243,30 +243,33 @@ impl ClosedLoopSim {
     /// Runs the closed loop for `horizon` simulated seconds and returns
     /// traces and metrics.
     pub fn run(&mut self, horizon: Seconds) -> RunOutcome {
-        let mut clock = Clock::new(self.spec.sim_dt);
-        let mut cpu_epoch = Periodic::new(self.spec.cpu_control_interval);
-        let mut fan_epoch = Periodic::new(self.spec.fan_control_interval);
-        let mut traces = TraceSet::new();
-        // Resolve the eight channels once and size them for the whole run
-        // (one sample per CPU epoch, t = 0..=horizon inclusive), so the
-        // epoch path records by index into pre-allocated storage — zero
-        // string scans, zero allocations in steady state.
-        let epochs =
-            (horizon.value() / self.spec.cpu_control_interval.value()).floor() as usize + 2;
-        let channels = EpochChannels::resolve(&mut traces, epochs, self.server.socket_count());
-
-        let steps = clock.steps_for(horizon);
-        for _ in 0..=steps {
-            let now = clock.now();
-            if cpu_epoch.is_due(now) {
-                self.control_epoch(now, fan_epoch.is_due(now), &mut traces, &channels);
-            }
+        let mut lane = self.lane(horizon);
+        for now in StepGrid::new(self.spec.sim_dt, horizon) {
+            self.control_epoch(now, &mut lane);
             self.server.step(self.spec.sim_dt, self.executed);
-            clock.tick();
         }
+        self.outcome(lane, horizon)
+    }
 
+    /// The schedule and recording state of one run over `horizon`, with
+    /// the channels resolved once and sized for the whole run, so the
+    /// epoch path records by index into pre-allocated storage — zero
+    /// string scans, zero allocations in steady state.
+    fn lane(&self, horizon: Seconds) -> Lane {
+        let gate = EpochGate::new(self.spec.cpu_control_interval, self.spec.fan_control_interval);
+        let mut traces = TraceSet::new();
+        let channels = EpochChannels::resolve(
+            &mut traces,
+            gate.trace_capacity(horizon),
+            self.server.socket_count(),
+        );
+        Lane { gate, traces, channels }
+    }
+
+    /// The finished run's traces and metrics.
+    fn outcome(&self, lane: Lane, horizon: Seconds) -> RunOutcome {
         RunOutcome {
-            traces,
+            traces: lane.traces,
             violation_percent: self.monitor.violation_percent(),
             total_violations: self.monitor.total_violations(),
             total_epochs: self.monitor.total_epochs(),
@@ -277,15 +280,11 @@ impl ClosedLoopSim {
         }
     }
 
-    /// One CPU control epoch: sample demand, collect proposals, arbitrate,
-    /// enforce, account, record.
-    fn control_epoch(
-        &mut self,
-        now: Seconds,
-        fan_due: bool,
-        traces: &mut TraceSet,
-        channels: &EpochChannels,
-    ) {
+    /// One CPU control epoch, if `lane`'s schedule has one due at `now`:
+    /// sample demand, collect proposals, arbitrate, enforce, account,
+    /// record.
+    fn control_epoch(&mut self, now: Seconds, lane: &mut Lane) {
+        let Some(fan_due) = lane.gate.due(now) else { return };
         let demand = self.workload.sample(now);
         let measured = self.server.measured_temperature();
         self.demand_filter.update(demand.value());
@@ -356,6 +355,7 @@ impl ClosedLoopSim {
         self.executed = demand.min(self.cap);
         self.monitor.record(demand, self.cap);
 
+        let (traces, channels) = (&mut lane.traces, &lane.channels);
         traces.record_by_id(channels.u_demand, now, demand.value());
         traces.record_by_id(channels.u_cap, now, self.cap.value());
         traces.record_by_id(channels.u_executed, now, self.executed.value());
@@ -371,12 +371,12 @@ impl ClosedLoopSim {
     }
 }
 
-/// Per-lane schedule and recording state for [`run_batch`]: exactly what
-/// [`ClosedLoopSim::run`] keeps on its stack, one copy per lane so lanes
-/// may run different control intervals while sharing the lockstep clock.
-struct BatchLane {
-    cpu_epoch: Periodic,
-    fan_epoch: Periodic,
+/// One run's schedule and recording state: the CPU/fan gate, the
+/// traces and their resolved channels. [`run_batch`] keeps one per lane,
+/// so lanes may run different control intervals while sharing the
+/// lockstep grid.
+struct Lane {
+    gate: EpochGate,
     traces: TraceSet,
     channels: EpochChannels,
 }
@@ -424,33 +424,10 @@ pub fn run_batch(sims: &mut [ClosedLoopSim], horizon: Seconds) -> Vec<RunOutcome
         BatchRcNetwork::new(&nets).expect("lockstep lanes must share one topology")
     };
 
-    let mut lanes: Vec<BatchLane> = sims
-        .iter()
-        .map(|sim| {
-            let mut traces = TraceSet::new();
-            let epochs =
-                (horizon.value() / sim.spec.cpu_control_interval.value()).floor() as usize + 2;
-            let channels = EpochChannels::resolve(&mut traces, epochs, sim.server.socket_count());
-            BatchLane {
-                cpu_epoch: Periodic::new(sim.spec.cpu_control_interval),
-                fan_epoch: Periodic::new(sim.spec.fan_control_interval),
-                traces,
-                channels,
-            }
-        })
-        .collect();
-
-    let mut clock = Clock::new(sim_dt);
-    let steps = clock.steps_for(horizon);
-    for _ in 0..=steps {
-        let now = clock.now();
+    let mut lanes: Vec<Lane> = sims.iter().map(|sim| sim.lane(horizon)).collect();
+    for now in StepGrid::new(sim_dt, horizon) {
         for (sim, lane) in sims.iter_mut().zip(&mut lanes) {
-            // Same short-circuit as the scalar loop: the fan schedule is
-            // only consulted (and advanced) inside a due CPU epoch.
-            if lane.cpu_epoch.is_due(now) {
-                let fan_due = lane.fan_epoch.is_due(now);
-                sim.control_epoch(now, fan_due, &mut lane.traces, &lane.channels);
-            }
+            sim.control_epoch(now, lane);
             sim.server.begin_step(sim_dt, sim.executed);
         }
         {
@@ -463,22 +440,9 @@ pub fn run_batch(sims: &mut [ClosedLoopSim], horizon: Seconds) -> Vec<RunOutcome
         for sim in sims.iter_mut() {
             sim.server.finish_step(sim_dt);
         }
-        clock.tick();
     }
 
-    sims.iter()
-        .zip(lanes)
-        .map(|(sim, lane)| RunOutcome {
-            traces: lane.traces,
-            violation_percent: sim.monitor.violation_percent(),
-            total_violations: sim.monitor.total_violations(),
-            total_epochs: sim.monitor.total_epochs(),
-            lost_utilization: sim.monitor.lost_utilization(),
-            fan_energy: sim.server.fan_energy(),
-            cpu_energy: sim.server.cpu_energy(),
-            horizon,
-        })
-        .collect()
+    sims.iter().zip(lanes).map(|(sim, lane)| sim.outcome(lane, horizon)).collect()
 }
 
 /// The epoch-rate channels, resolved to [`ChannelId`]s once per run: the

@@ -23,7 +23,7 @@ use gfsc_obs::Recorder;
 use gfsc_rack::{RackServer, RackSpec, RackTopology};
 use gfsc_sensors::MovingAverage;
 use gfsc_server::ServerSpec;
-use gfsc_sim::{Clock, Periodic};
+use gfsc_sim::{EpochGate, StepGrid};
 use gfsc_thermal::Topology;
 use gfsc_units::{Celsius, Rpm, Seconds, Utilization};
 use gfsc_workload::{SquareWave, Workload};
@@ -212,19 +212,14 @@ impl SingleFanSsLoop {
 
     fn run(&mut self, workload: &mut Workload, horizon: Seconds) {
         let spec = self.server.spec().server.clone();
-        let mut clock = Clock::new(spec.sim_dt);
-        let mut cpu_epoch = Periodic::new(spec.cpu_control_interval);
-        let mut fan_epoch = Periodic::new(spec.fan_control_interval);
-        let steps = clock.steps_for(horizon);
-        for _ in 0..=steps {
-            let now = clock.now();
-            if cpu_epoch.is_due(now) {
-                self.epoch(workload.sample(now), fan_epoch.is_due(now), spec.fan_bounds.hi());
+        let mut gate = EpochGate::new(spec.cpu_control_interval, spec.fan_control_interval);
+        for now in StepGrid::new(spec.sim_dt, horizon) {
+            if let Some(fan_due) = gate.due(now) {
+                self.epoch(workload.sample(now), fan_due, spec.fan_bounds.hi());
             }
             let executed = core::mem::take(&mut self.executed);
             self.server.step(spec.sim_dt, &executed);
             self.executed = executed;
-            clock.tick();
         }
     }
 

@@ -455,19 +455,23 @@ fn apply_key(spec: &mut DaemondSpec, section: &str, key: &str, value: &str) -> R
         "daemon" => match key {
             "control" => spec.control = RackControl::from_label(&parse_string(value)?)?,
             "topology" => spec.topology = parse_string(value)?,
-            "horizon_s" => spec.horizon = Seconds::new(parse_f64(value)?),
-            "stale_after_s" => spec.stale_after = Seconds::new(parse_f64(value)?),
-            "freeze_after_s" => spec.freeze_after = Some(Seconds::new(parse_f64(value)?)),
+            "horizon_s" => spec.horizon = parse_quantity(key, value, Seconds::new)?,
+            "stale_after_s" => spec.stale_after = parse_quantity(key, value, Seconds::new)?,
+            "freeze_after_s" => {
+                spec.freeze_after = Some(parse_quantity(key, value, Seconds::new)?);
+            }
             "deadzone_rpm" => spec.deadzone_rpm = parse_f64(value)?,
             "max_retries" => spec.max_retries = parse_int(value)?,
-            "recovery_window_s" => spec.recovery_window = Seconds::new(parse_f64(value)?),
+            "recovery_window_s" => spec.recovery_window = parse_quantity(key, value, Seconds::new)?,
             "recorder_capacity" => spec.recorder_capacity = parse_int(value)?,
             "metrics_addr" => spec.metrics_addr = Some(parse_string(value)?),
             other => return Err(format!("unknown key `{other}` in [daemon]")),
         },
         "pacing" => match key {
             "time_scale" => spec.pacing.time_scale = parse_f64(value)?,
-            "miss_tolerance_s" => spec.pacing.miss_tolerance = Seconds::new(parse_f64(value)?),
+            "miss_tolerance_s" => {
+                spec.pacing.miss_tolerance = parse_quantity(key, value, Seconds::new)?;
+            }
             "max_overrun_streak" => spec.pacing.max_overrun_streak = parse_int(value)?,
             other => return Err(format!("unknown key `{other}` in [pacing]")),
         },
@@ -486,13 +490,15 @@ fn apply_key(spec: &mut DaemondSpec, section: &str, key: &str, value: &str) -> R
             "square_low" => spec.workload.square_low = Some(parse_f64(value)?),
             "square_high" => spec.workload.square_high = Some(parse_f64(value)?),
             "square_period_s" => {
-                spec.workload.square_period = Some(Seconds::new(parse_f64(value)?));
+                spec.workload.square_period = Some(parse_quantity(key, value, Seconds::new)?);
             }
             "square_duty" => spec.workload.square_duty = Some(parse_f64(value)?),
             "noise_sigma" => spec.workload.noise_sigma = Some(parse_f64(value)?),
             "noise_seed" => spec.workload.noise_seed = Some(parse_int(value)?),
             "spike_rate_hz" => spec.workload.spike_rate_hz = Some(parse_f64(value)?),
-            "spike_len_s" => spec.workload.spike_len = Some(Seconds::new(parse_f64(value)?)),
+            "spike_len_s" => {
+                spec.workload.spike_len = Some(parse_quantity(key, value, Seconds::new)?);
+            }
             "spike_amplitude" => spec.workload.spike_amplitude = Some(parse_f64(value)?),
             "spike_seed" => spec.workload.spike_seed = Some(parse_int(value)?),
             other => return Err(format!("unknown key `{other}` in [workload]")),
@@ -500,16 +506,16 @@ fn apply_key(spec: &mut DaemondSpec, section: &str, key: &str, value: &str) -> R
         "ipmi" => match key {
             "sensors" => spec.ipmi.sensors = parse_string_array(value)?,
             "zones" => spec.ipmi.zones = parse_int(value)?,
-            "fan_min_rpm" => spec.ipmi.fan_min = Rpm::new(parse_f64(value)?),
-            "fan_max_rpm" => spec.ipmi.fan_max = Rpm::new(parse_f64(value)?),
+            "fan_min_rpm" => spec.ipmi.fan_min = parse_quantity(key, value, Rpm::new)?,
+            "fan_max_rpm" => spec.ipmi.fan_max = parse_quantity(key, value, Rpm::new)?,
             "demand" => spec.ipmi.demand = parse_f64(value)?,
             other => return Err(format!("unknown key `{other}` in [ipmi]")),
         },
         "caps" => match key {
             "enforcer" => spec.caps.enforcer = parse_string(value)?,
             "rapl_root" => spec.caps.rapl_root = parse_string(value)?,
-            "min_power_w" => spec.caps.min_power = Watts::new(parse_f64(value)?),
-            "max_power_w" => spec.caps.max_power = Watts::new(parse_f64(value)?),
+            "min_power_w" => spec.caps.min_power = parse_quantity(key, value, Watts::new)?,
+            "max_power_w" => spec.caps.max_power = parse_quantity(key, value, Watts::new)?,
             other => return Err(format!("unknown key `{other}` in [caps]")),
         },
         "" => return Err(format!("key `{key}` before any [section]")),
@@ -586,6 +592,16 @@ fn parse_f64(value: &str) -> Result<f64, String> {
         .ok()
         .filter(|v| v.is_finite())
         .ok_or_else(|| format!("expected a finite number, got `{value}`"))
+}
+
+/// Parses a non-negative quantity through its unit constructor (which
+/// panics on a negative value), naming the key when the value is negative.
+fn parse_quantity<T>(key: &str, value: &str, unit: fn(f64) -> T) -> Result<T, String> {
+    let v = parse_f64(value)?;
+    if v < 0.0 {
+        return Err(format!("`{key}` must be non-negative, got {v}"));
+    }
+    Ok(unit(v))
 }
 
 fn parse_int<T: std::str::FromStr>(value: &str) -> Result<T, String> {
@@ -675,6 +691,28 @@ max_power_w = 150.0
         assert!(err.contains("unknown section"), "{err}");
         let err = DaemondSpec::parse("control = \"lockstep\"\n").unwrap_err();
         assert!(err.contains("before any [section]"), "{err}");
+    }
+
+    #[test]
+    fn negative_quantities_are_errors_naming_the_key_not_panics() {
+        for (section, key) in [
+            ("daemon", "horizon_s"),
+            ("daemon", "stale_after_s"),
+            ("daemon", "freeze_after_s"),
+            ("daemon", "recovery_window_s"),
+            ("pacing", "miss_tolerance_s"),
+            ("workload", "square_period_s"),
+            ("workload", "spike_len_s"),
+            ("ipmi", "fan_min_rpm"),
+            ("ipmi", "fan_max_rpm"),
+            ("caps", "min_power_w"),
+            ("caps", "max_power_w"),
+        ] {
+            let config = |value: &str| format!("[{section}]\n{key} = {value}\n");
+            assert!(DaemondSpec::parse(&config("1.0")).is_ok(), "[{section}] {key} = 1.0");
+            let err = DaemondSpec::parse(&config("-1")).unwrap_err();
+            assert!(err.contains(&format!("`{key}` must be non-negative")), "{err}");
+        }
     }
 
     #[test]

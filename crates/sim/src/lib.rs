@@ -10,6 +10,8 @@
 //! - [`Clock`]: a drift-free fixed-step simulation clock,
 //! - [`Periodic`]: a multi-rate scheduler primitive ("is this controller due
 //!   at the current time?"),
+//! - [`EpochGate`] / [`StepGrid`]: the CPU/fan control schedule and the
+//!   plant-step grid every closed loop in the workspace runs on,
 //! - [`Trace`] / [`TraceSet`]: named time series with CSV export,
 //! - [`spill`]: columnar on-disk trace spill ([`TraceSet::spill_to`],
 //!   streaming [`TraceSink`], selective [`SpilledTraces`] reads) so large
@@ -51,6 +53,6 @@ mod trace;
 
 pub use clock::Clock;
 pub use fault::{FaultSchedule, FaultWindow};
-pub use schedule::Periodic;
+pub use schedule::{EpochGate, Periodic, StepGrid};
 pub use spill::{SinkChannel, SpilledTraces, TraceSink};
 pub use trace::{ChannelId, Trace, TraceError, TraceSet};

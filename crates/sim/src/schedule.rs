@@ -1,5 +1,6 @@
 //! Multi-rate periodic scheduling.
 
+use crate::Clock;
 use gfsc_units::Seconds;
 
 /// A periodic activity in a fixed-step simulation.
@@ -134,9 +135,124 @@ impl Periodic {
     }
 }
 
+/// The paper's multi-rate control schedule, which every closed loop in
+/// the workspace (server and rack simulators, the lockstep batch, the
+/// daemon) runs on: the CPU capper fires every `cpu_interval` and the
+/// fan loop every `fan_interval`, both polled on the plant's
+/// [`StepGrid`].
+///
+/// The rules live here once:
+///
+/// - the fan schedule is consulted (and advanced) only inside a due CPU
+///   epoch — [`Self::due`] short-circuits, so a fan deadline that falls
+///   between CPU epochs fires at the next CPU epoch;
+/// - the loop boundary: a run over `horizon` polls every point of
+///   `StepGrid::new(dt, horizon)`, `k·dt` for `k` in
+///   `0..=ceil(horizon / dt)`, and steps the plant *after* each poll, so
+///   the plant ends at the first grid point past `horizon` (one trailing
+///   step after the final control epoch). The simulators and the daemon
+///   share this boundary bit for bit; an off-by-one "fix" in any one of
+///   them would shift every golden trace;
+/// - traces reserve [`Self::trace_capacity`] samples per channel: one
+///   per CPU epoch in `0..=horizon`, plus one of slack.
+///
+/// # Examples
+///
+/// ```
+/// use gfsc_sim::{EpochGate, StepGrid};
+/// use gfsc_units::Seconds;
+///
+/// let mut gate = EpochGate::new(Seconds::new(1.0), Seconds::new(30.0));
+/// let (mut cpu, mut fan) = (0, 0);
+/// for now in StepGrid::new(Seconds::new(0.5), Seconds::new(60.0)) {
+///     if let Some(fan_due) = gate.due(now) {
+///         cpu += 1;
+///         fan += usize::from(fan_due);
+///     }
+/// }
+/// assert_eq!((cpu, fan), (61, 3)); // t = 0..=60; fans at 0, 30, 60
+/// assert_eq!(gate.trace_capacity(Seconds::new(60.0)), 62);
+/// ```
+#[derive(Debug, Clone)]
+pub struct EpochGate {
+    cpu: Periodic,
+    fan: Periodic,
+}
+
+impl EpochGate {
+    /// The most samples per channel [`Self::trace_capacity`] reserves up
+    /// front: a day and a half of 1 s epochs, above every horizon the
+    /// experiments run. Longer runs still record every epoch; their
+    /// traces grow on demand past the reservation instead of asking the
+    /// allocator for the whole horizon before the first cycle.
+    pub const MAX_TRACE_RESERVATION: usize = 1 << 17;
+
+    /// Creates the schedule, both activities firing first at `t = 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either interval is zero.
+    #[must_use]
+    pub fn new(cpu_interval: Seconds, fan_interval: Seconds) -> Self {
+        Self { cpu: Periodic::new(cpu_interval), fan: Periodic::new(fan_interval) }
+    }
+
+    /// `None` if no CPU epoch is due at `now`; otherwise `Some(fan_due)`,
+    /// whether the fan epoch is due too. Re-arms whatever fired.
+    pub fn due(&mut self, now: Seconds) -> Option<bool> {
+        self.cpu.is_due(now).then(|| self.fan.is_due(now))
+    }
+
+    /// Samples to reserve per epoch-rate trace channel for a run over
+    /// `horizon`: `floor(horizon / cpu_interval) + 2`, clamped to
+    /// [`Self::MAX_TRACE_RESERVATION`].
+    #[must_use]
+    pub fn trace_capacity(&self, horizon: Seconds) -> usize {
+        let epochs = (horizon.value() / self.cpu.period().value()).floor() as usize;
+        epochs.saturating_add(2).min(Self::MAX_TRACE_RESERVATION)
+    }
+}
+
+/// The plant-step grid of a run over `horizon`: yields `now = k·dt` for
+/// `k` in `0..=ceil(horizon / dt)`, with the same bits as
+/// [`Clock::now`]. The boundary contract is documented on [`EpochGate`].
+#[derive(Debug, Clone)]
+pub struct StepGrid {
+    clock: Clock,
+    last: u64,
+}
+
+impl StepGrid {
+    /// The grid for a run of `horizon` at step `dt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` is zero.
+    #[must_use]
+    pub fn new(dt: Seconds, horizon: Seconds) -> Self {
+        let clock = Clock::new(dt);
+        let last = clock.steps_for(horizon);
+        Self { clock, last }
+    }
+}
+
+impl Iterator for StepGrid {
+    type Item = Seconds;
+
+    fn next(&mut self) -> Option<Seconds> {
+        if self.clock.step() > self.last {
+            return None;
+        }
+        let now = self.clock.now();
+        self.clock.tick();
+        Some(now)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn times(period: f64, phase: Option<f64>, dt: f64, horizon: f64) -> Vec<f64> {
         let mut p = match phase {
@@ -266,5 +382,82 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_period_rejected() {
         let _ = Periodic::new(Seconds::new(0.0));
+    }
+
+    #[test]
+    fn trace_capacity_is_one_per_epoch_plus_slack_and_clamped() {
+        let gate = EpochGate::new(Seconds::new(1.0), Seconds::new(30.0));
+        assert_eq!(gate.trace_capacity(Seconds::new(0.0)), 2);
+        assert_eq!(gate.trace_capacity(Seconds::new(120.5)), 122);
+        // The longest horizon the experiments and the benchmark run (a
+        // simulated day) stays below the clamp, so its reservation is exact.
+        assert_eq!(gate.trace_capacity(Seconds::new(86_400.0)), 86_402);
+        for horizon in [1e6, 1e15, f64::MAX, f64::INFINITY] {
+            assert_eq!(
+                gate.trace_capacity(Seconds::new(horizon)),
+                EpochGate::MAX_TRACE_RESERVATION,
+                "horizon {horizon}"
+            );
+        }
+    }
+
+    /// One run of the hand-written schedule every loop carried before
+    /// [`EpochGate`] / [`StepGrid`]: `(now bits, cpu_due, fan_due)` per
+    /// plant step.
+    fn clock_and_periodic_pair(
+        dt: f64,
+        cpu: f64,
+        fan: f64,
+        horizon: f64,
+    ) -> Vec<(u64, bool, bool)> {
+        let mut clock = Clock::new(Seconds::new(dt));
+        let mut cpu_epoch = Periodic::new(Seconds::new(cpu));
+        let mut fan_epoch = Periodic::new(Seconds::new(fan));
+        let steps = clock.steps_for(Seconds::new(horizon));
+        let mut out = Vec::new();
+        for _ in 0..=steps {
+            let now = clock.now();
+            if cpu_epoch.is_due(now) {
+                out.push((now.value().to_bits(), true, fan_epoch.is_due(now)));
+            } else {
+                out.push((now.value().to_bits(), false, false));
+            }
+            clock.tick();
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn gate_and_grid_replay_the_clock_and_periodic_pair(
+            dt_tenths in 1u32..25,
+            cpu_on_grid in 0u8..2,
+            cpu_steps in 1u32..12,
+            cpu_free in 0.05f64..4.0,
+            fan_per_cpu in 0.5f64..45.0,
+            horizon in 0.0f64..1500.0,
+        ) {
+            // dt = k/10 is inexact in binary for most k, as in the specs.
+            let dt = f64::from(dt_tenths) / 10.0;
+            let cpu = if cpu_on_grid == 1 { dt * f64::from(cpu_steps) } else { cpu_free };
+            let fan = cpu * fan_per_cpu;
+            let want = clock_and_periodic_pair(dt, cpu, fan, horizon);
+
+            let mut gate = EpochGate::new(Seconds::new(cpu), Seconds::new(fan));
+            let got: Vec<(u64, bool, bool)> = StepGrid::new(Seconds::new(dt), Seconds::new(horizon))
+                .map(|now| {
+                    let due = gate.due(now);
+                    (now.value().to_bits(), due.is_some(), due.unwrap_or(false))
+                })
+                .collect();
+            prop_assert_eq!(&got, &want);
+
+            let epochs = got.iter().filter(|&&(_, cpu_due, _)| cpu_due).count();
+            let capacity = gate.trace_capacity(Seconds::new(horizon));
+            prop_assert!(
+                epochs <= capacity,
+                "{epochs} epochs > capacity {capacity} (dt {dt}, cpu {cpu}, horizon {horizon})"
+            );
+        }
     }
 }

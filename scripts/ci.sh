@@ -6,17 +6,17 @@
 #                              # under both executors), release tests,
 #                              # daemon HIL + wall-clock pacing drills,
 #                              # perfbench digests, large-grid smoke,
-#                              # bench smoke, bench check
+#                              # bench check
 #     ./scripts/ci.sh quick    # fmt, clippy, lint, single test run +
 #                              # daemon HIL + pacing drills + perfbench
 #                              # digests; skip the release tests & bench
-#                              # stages
+#                              # check
 #
 # Mirrors the tier-1 verify command (`cargo build --release && cargo test -q`)
 # and adds the style gates that keep the tree warning-free.
 #
 # Every cargo invocation runs `--locked --offline`: the workspace vendors
-# its three external shims under vendor/, so CI must never touch the
+# its two external shims under vendor/, so CI must never touch the
 # network — a build that tries is a bug, not a flake. A trailing
 # `git status --porcelain` check catches fmt or lockfile drift produced by
 # the gate itself.
@@ -138,8 +138,6 @@ else
     # scale-out machinery at a size the default suite can't afford.
     run_stage "large-grid-smoke" cargo test -q --release --locked --offline \
         --test determinism large_grid_smoke_with_spilled_traces -- --ignored
-    run_stage "bench-smoke" env GFSC_BENCH_FAST=1 \
-        cargo bench -p gfsc-bench --locked --offline --bench hot_paths
     run_stage "bench-check" ./scripts/bench_check.sh
 fi
 
