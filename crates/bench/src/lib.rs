@@ -1,9 +1,15 @@
-//! Benchmark harness for the `gfsc` reproduction.
+//! Paper-artifact binaries for the `gfsc` reproduction.
 //!
 //! - `src/bin/`: one binary per paper artifact (`fig1` … `fig5`,
 //!   `table1` … `table3`, `ablations`) that prints the reproduced
-//!   rows/series next to the paper's published values, plus `perf_report`
-//!   (see below).
+//!   rows/series next to the paper's published values, plus
+//!   `gfsc_explain`, which renders a flight recording as a causal
+//!   timeline.
+//!
+//! Performance is measured elsewhere: end to end and layer by layer by
+//! the repository benchmark (`perfbench/`, compared across commits with
+//! `scripts/ab.sh`), and the daemon and flight-recorder overhead caps by
+//! the release tests in `tests/overhead_caps.rs`.
 //!
 //! # Running the sweep engine
 //!
@@ -22,65 +28,6 @@
 //!
 //! `GFSC_SWEEP_THREADS` caps the worker count (1 forces the serial path);
 //! the default is `std::thread::available_parallelism()`.
-//!
-//! # Running the perf snapshot
-//!
-//! ```text
-//! cargo run --release -p gfsc-bench --bin perf_report
-//!     [--table3-horizon 7200] [--out BENCH_custom.json]
-//! ```
-//!
-//! `perf_report` times the thermal step (cached vs uncached), 8-channel
-//! trace recording (by name vs by handle), the closed-loop epoch rate, the
-//! table3 sweep at several worker counts (asserting bit-identity against
-//! the serial path), a reduced ablation sweep, and two-region gain tuning,
-//! then writes a `BENCH_<date>.json` snapshot next to the existing ones so
-//! the perf trajectory stays in-repo.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use gfsc_thermal::{RcNetwork, RcNetworkBuilder};
-use gfsc_units::{Celsius, JoulesPerKelvin, KelvinPerWatt, Watts};
-
-/// The eight channels `ClosedLoopSim` records per CPU epoch, in recording
-/// order — the workload of `perf_report`'s trace-recording timings.
-pub const EPOCH_CHANNELS: [&str; 8] = [
-    "u_demand",
-    "u_cap",
-    "u_executed",
-    "t_measured_c",
-    "t_junction_c",
-    "fan_rpm",
-    "fan_target_rpm",
-    "t_ref_c",
-];
-
-/// A chain of `n` capacitive nodes ending at an ambient boundary, with the
-/// last link playing the fan-dependent sink→ambient role and 120 W
-/// injected at the hot end — the benchmark topology of `perf_report`'s
-/// `RcNetwork::step` measurements.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-#[must_use]
-pub fn chain_network(n: usize) -> RcNetwork {
-    let mut builder = RcNetworkBuilder::new();
-    for i in 0..n {
-        builder = builder.node(
-            format!("n{i}"),
-            JoulesPerKelvin::new(1.0 + 40.0 * i as f64),
-            Celsius::new(30.0),
-        );
-    }
-    builder = builder.boundary("ambient", Celsius::new(30.0));
-    for i in 0..n {
-        let to = if i + 1 == n { "ambient".to_owned() } else { format!("n{}", i + 1) };
-        builder = builder.link(format!("n{i}"), to, KelvinPerWatt::new(0.1 + 0.02 * i as f64));
-    }
-    let mut net = builder.build().expect("valid chain");
-    let hot = net.node_id("n0").expect("exists");
-    net.set_power(hot, Watts::new(120.0));
-    net
-}

@@ -277,8 +277,7 @@ impl RackControlBank {
     }
 
     /// The enforced per-socket executed utilizations of the latest epoch
-    /// (`min(demand, cap)`): what the plant should run until the next
-    /// epoch.
+    /// ([`enforce_cap`]): what the plant should run until the next epoch.
     #[must_use]
     pub fn executed(&self) -> &[Utilization] {
         &self.executed
@@ -613,7 +612,7 @@ impl RackControlBank {
         for (i, ((&d, &cap), executed)) in
             demands.iter().zip(&self.caps).zip(&mut self.executed).enumerate()
         {
-            *executed = d.min(cap);
+            *executed = enforce_cap(d, cap);
             self.socket_epochs += 1;
             // Strict inequality with a small tolerance, as the
             // single-server monitor counts it: demand exactly at the cap
@@ -675,6 +674,15 @@ impl RackControlBank {
         }
         speed
     }
+}
+
+/// The utilization a socket executes under its cap until the next epoch:
+/// its demand, clipped at the cap. The bank enforces this every epoch;
+/// a backend that plays the plant behind the daemon derives its executed
+/// point from the same function, which keeps the two bit-identical.
+#[must_use]
+pub fn enforce_cap(demand: Utilization, cap: Utilization) -> Utilization {
+    demand.min(cap)
 }
 
 /// The epoch-rate channels, resolved once per run.

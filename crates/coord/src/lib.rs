@@ -65,7 +65,7 @@ mod view;
 mod zone_ecoord;
 mod zone_ssfan;
 
-pub use bank::{RackChannels, RackControlBank, RackControlConfig};
+pub use bank::{enforce_cap, RackChannels, RackControlBank, RackControlConfig};
 pub use capper::CpuCapController;
 pub use coordinator::{
     rule_matrix, CoordinationInputs, CoordinationOutcome, Coordinator, EnergyAwareCoordinator,

@@ -741,8 +741,9 @@ impl ScenarioGrid {
         self.run_with_workers(executor::thread_count())
     }
 
-    /// [`ScenarioGrid::run`] with an explicit worker count (the scaling
-    /// probe in `perf_report` sweeps this).
+    /// [`ScenarioGrid::run`] with an explicit worker count (the benchmark's
+    /// `sweep` workload runs the Table-3 matrix on `nproc` workers with
+    /// this).
     #[must_use]
     pub fn run_with_workers(&self, workers: usize) -> Vec<ScenarioResult> {
         // The gain-schedule caches (`OnceLock`) are warmed before the fan-out:

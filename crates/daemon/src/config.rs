@@ -422,10 +422,13 @@ impl DaemondSpec {
             }
             other => return Err(format!("unknown cap enforcer `{other}`")),
         };
+        // One management command may take at most one CPU control
+        // interval; a hung one is killed and fails as a read.
+        let runner = ProcessRunner::new(spec.server.cpu_control_interval);
         let adapter = if self.ipmi.sensors.is_empty() {
-            IpmiAdapter::discover(ProcessRunner, zones, bounds).map_err(|e| e.to_string())?
+            IpmiAdapter::discover(runner, zones, bounds).map_err(|e| e.to_string())?
         } else {
-            IpmiAdapter::new(ProcessRunner, self.ipmi.sensors.clone(), zones, bounds)
+            IpmiAdapter::new(runner, self.ipmi.sensors.clone(), zones, bounds)
         }
         .with_cap_enforcer(enforcer);
         let demand =

@@ -322,7 +322,8 @@ impl<B: TelemetrySource + FanActuator> Daemon<B> {
                 // while an endpoint is attached so each snapshot carries
                 // a fresh reading): observability must not tax the loop
                 // it observes — the clock pair is a measurable slice of
-                // the <5 % front-end overhead budget `perf_report` gates.
+                // the <5 % front-end overhead budget that
+                // `tests/overhead_caps.rs` gates.
                 let started =
                     (self.endpoint.is_some() || cycle_idx.trailing_zeros() >= 4).then(Instant::now);
                 self.cycle(now, fan_due, &mut traces, &channels);

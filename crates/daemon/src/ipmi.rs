@@ -20,6 +20,10 @@ use crate::discover::discover_socket_sensors;
 use crate::enforce::{CapEnforcer, NullEnforcer};
 use crate::{FanActuator, TelemetryError, TelemetrySource};
 use gfsc_units::{Bounds, Celsius, Rpm, Seconds, Utilization};
+use std::io::Read as _;
+use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// One named reading parsed from management-tool output.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,20 +142,105 @@ pub trait CommandRunner {
     fn run(&mut self, cmd: &str, args: &[String]) -> Result<String, TelemetryError>;
 }
 
-/// Runs commands through `std::process::Command`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ProcessRunner;
+/// How often [`ProcessRunner`] checks a running command for exit.
+const EXIT_POLL: Duration = Duration::from_millis(1);
+
+/// Runs commands through `std::process::Command`, each under a deadline.
+///
+/// A wedged BMC or a stuck `-I lanplus` session can hang `ipmitool`
+/// indefinitely, and the control cycle that issued the command would
+/// then never return, so the watchdog could never fall back. A command
+/// still running at the deadline is killed and reaped, and the call
+/// fails with [`TelemetryError::Read`], which the watchdog counts
+/// against its budget like any other failed read.
+#[derive(Debug, Clone, Copy)]
+pub struct ProcessRunner {
+    deadline: Seconds,
+}
+
+impl ProcessRunner {
+    /// A runner that kills any command still running after `deadline`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `deadline` is not positive and finite.
+    #[must_use]
+    pub fn new(deadline: Seconds) -> Self {
+        assert!(
+            deadline.value() > 0.0 && deadline.value().is_finite(),
+            "command deadline must be positive and finite, got {deadline:?}"
+        );
+        Self { deadline }
+    }
+
+    fn timed_out(&self, cmd: &str) -> TelemetryError {
+        TelemetryError::Read(format!("{cmd} timed out after {} s", self.deadline.value()))
+    }
+}
 
 impl CommandRunner for ProcessRunner {
     fn run(&mut self, cmd: &str, args: &[String]) -> Result<String, TelemetryError> {
-        let output = std::process::Command::new(cmd)
+        let started = Instant::now();
+        let mut child = Command::new(cmd)
             .args(args)
-            .output()
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
             .map_err(|e| TelemetryError::Read(format!("{cmd}: {e}")))?;
-        if !output.status.success() {
-            return Err(TelemetryError::Nack(format!("{cmd} exited {}", output.status)));
+        // Drain stdout as it arrives: a listing larger than the pipe
+        // buffer would otherwise block the child on its write and look
+        // exactly like a hung command. If there is no pipe, `tx` drops
+        // unsent and the receive below reports the command as failed.
+        let (tx, rx) = mpsc::channel();
+        let reader = child.stdout.take().map(|mut stdout| {
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                let _ = tx.send(stdout.read_to_end(&mut out).map(|_| out));
+            })
+        });
+        let status = loop {
+            match child.try_wait() {
+                Ok(Some(status)) => break status,
+                Ok(None) if started.elapsed().as_secs_f64() < self.deadline.value() => {
+                    std::thread::sleep(EXIT_POLL);
+                }
+                waited => {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    // The reader is not joined here: it ends at EOF once
+                    // the last holder of the pipe exits, and an orphaned
+                    // grandchild holding it would stall the join exactly
+                    // as the hung command would have.
+                    return Err(match waited {
+                        Err(e) => TelemetryError::Read(format!("{cmd}: {e}")),
+                        Ok(_) => self.timed_out(cmd),
+                    });
+                }
+            }
+        };
+        // The exit closed the child's end of the pipe; collecting the
+        // rest stays under the same deadline in case a grandchild still
+        // holds it open.
+        let remaining = (self.deadline.value() - started.elapsed().as_secs_f64()).max(0.0);
+        let wait = Duration::try_from_secs_f64(remaining).unwrap_or(Duration::MAX);
+        let stdout = match rx.recv_timeout(wait) {
+            Ok(read) => {
+                if let Some(reader) = reader {
+                    // It has sent its only message, so this returns at once.
+                    let _ = reader.join();
+                }
+                read.map_err(|e| TelemetryError::Read(format!("{cmd}: {e}")))?
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => return Err(self.timed_out(cmd)),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                return Err(TelemetryError::Read(format!("{cmd}: stdout was not captured")));
+            }
+        };
+        if !status.success() {
+            return Err(TelemetryError::Nack(format!("{cmd} exited {status}")));
         }
-        Ok(String::from_utf8_lossy(&output.stdout).into_owned())
+        Ok(String::from_utf8_lossy(&stdout).into_owned())
     }
 }
 
@@ -441,6 +530,53 @@ impl<R: CommandRunner> FanActuator for IpmiTelemetry<R> {
 mod tests {
     use super::*;
     use crate::enforce::RecordingEnforcer;
+
+    #[cfg(unix)]
+    #[test]
+    fn process_runner_captures_large_output_and_reports_exit_failures() {
+        let mut runner = ProcessRunner::new(Seconds::new(10.0));
+        assert_eq!(runner.run("echo", &["hello".into()]).unwrap(), "hello\n");
+        // 550 kB: many times a pipe buffer, so an undrained pipe would
+        // stall the child until the deadline.
+        let big = runner.run("sh", &["-c".into(), "yes 0123456789 | head -n 50000".into()]);
+        assert_eq!(big.unwrap().len(), 50_000 * 11);
+        assert!(matches!(runner.run("false", &[]), Err(TelemetryError::Nack(_))));
+        assert!(matches!(runner.run("/nonexistent/ipmitool", &[]), Err(TelemetryError::Read(_))));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn process_runner_kills_and_reaps_a_hung_command_at_its_deadline() {
+        let mut runner = ProcessRunner::new(Seconds::new(0.2));
+        let started = Instant::now();
+        let result = runner.run("sleep", &["30".into()]);
+        let took = started.elapsed();
+        assert!(
+            matches!(&result, Err(TelemetryError::Read(why)) if why.contains("timed out after")),
+            "{result:?}"
+        );
+        assert!(took < Duration::from_secs(5), "returned after {took:?}");
+        #[cfg(target_os = "linux")]
+        assert_eq!(sleep_children(), 0, "the killed command is reaped, not left a zombie");
+    }
+
+    /// Child processes of this test process named `sleep`, zombies
+    /// included, from `/proc/<pid>/stat` (`pid (comm) state ppid …`).
+    #[cfg(target_os = "linux")]
+    fn sleep_children() -> usize {
+        let me = std::process::id().to_string();
+        let Ok(procs) = std::fs::read_dir("/proc") else { return 0 };
+        procs
+            .filter_map(Result::ok)
+            .filter(|entry| {
+                std::fs::read_to_string(entry.path().join("stat")).is_ok_and(|stat| {
+                    stat.rsplit_once(") ").is_some_and(|(head, rest)| {
+                        head.ends_with("(sleep") && rest.split(' ').nth(1) == Some(me.as_str())
+                    })
+                })
+            })
+            .count()
+    }
 
     #[test]
     fn float_tokens_distinguish_decimal_commas_from_thousands_separators() {

@@ -25,6 +25,7 @@
 //!   `catch_unwind` watchdog path).
 
 use crate::{FanActuator, TelemetryError, TelemetrySource};
+use gfsc_coord::enforce_cap;
 use gfsc_rack::{RackServer, RackSpec};
 use gfsc_sim::FaultSchedule;
 use gfsc_units::{Celsius, Rpm, Seconds, Utilization};
@@ -230,11 +231,12 @@ impl FanActuator for SimTelemetry {
         }
         assert_eq!(caps.len(), self.caps.len(), "one cap per socket");
         self.caps.copy_from_slice(caps);
-        // The enforced point until the next epoch: min(demand, cap),
-        // computed exactly as the control bank computes its `executed`
-        // (same weights, same demand sample) — the parity contract.
+        // The enforced point until the next epoch, through the control
+        // bank's own enforcement on the same weights and demand sample —
+        // the parity contract.
         for i in 0..self.executed.len() {
-            self.executed[i] = self.server.socket_demand(i, self.last_demand).min(self.caps[i]);
+            self.executed[i] =
+                enforce_cap(self.server.socket_demand(i, self.last_demand), self.caps[i]);
         }
         Ok(())
     }

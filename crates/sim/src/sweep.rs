@@ -94,7 +94,7 @@ where
 }
 
 /// [`parallel_map`] with an explicit worker count, bypassing the
-/// [`thread_count`] policy — the scaling probe in `perf_report` and the
+/// [`thread_count`] policy — the benchmark's `sweep` workload and the
 /// executor's own tests pin worker counts with this.
 ///
 /// # Panics

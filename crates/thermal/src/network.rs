@@ -553,8 +553,8 @@ impl RcNetwork {
 
     /// The reference integrator: assembles and eliminates the full system
     /// every call (the pre-caching behavior). Kept public as the oracle for
-    /// the cached path — the property tests and `perf_report`'s timings
-    /// compare [`RcNetwork::step`] against it.
+    /// the cached path — the property tests compare [`RcNetwork::step`]
+    /// against it.
     ///
     /// # Panics
     ///

@@ -6,11 +6,11 @@
 #                              # under both executors), release tests,
 #                              # daemon HIL + wall-clock pacing drills,
 #                              # perfbench digests, large-grid smoke,
-#                              # bench check
+#                              # daemon + flight-recorder overhead caps
 #     ./scripts/ci.sh quick    # fmt, clippy, lint, single test run +
 #                              # daemon HIL + pacing drills + perfbench
-#                              # digests; skip the release tests & bench
-#                              # check
+#                              # digests; skip the release tests &
+#                              # overhead caps
 #
 # Mirrors the tier-1 verify command (`cargo build --release && cargo test -q`)
 # and adds the style gates that keep the tree warning-free.
@@ -138,7 +138,12 @@ else
     # scale-out machinery at a size the default suite can't afford.
     run_stage "large-grid-smoke" cargo test -q --release --locked --offline \
         --test determinism large_grid_smoke_with_spilled_traces -- --ignored
-    run_stage "bench-check" ./scripts/bench_check.sh
+    # The two absolute overhead caps (daemon front-end <= 5 % over the
+    # direct loop, armed flight recorder <= 3 % over disarmed) as paired
+    # release-profile timings. One probe at a time: two probes sharing a
+    # small host would time each other.
+    run_stage "overhead-caps" cargo test -q --release --locked --offline \
+        --test overhead_caps -- --ignored --test-threads=1
 fi
 
 # The gate must leave the tree exactly as it found it (no fmt rewrites, no
